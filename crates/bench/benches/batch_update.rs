@@ -1,5 +1,6 @@
-//! Scalar vs batched vs batched+parallel voxel-update throughput on the
-//! corridor dataset — the microbenchmark behind `BENCH_batch_update.json`
+//! Scan-insert throughput on the corridor dataset: the scalar
+//! `insert_scan` oracle vs `insert_points` at 1 and 8 shards — the
+//! microbenchmark behind `BENCH_batch_update.json`'s end_to_end rows
 //! (see `src/bin/bench_batch_update.rs` for the JSON emitter).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -45,24 +46,17 @@ fn bench_scan_integration(c: &mut Criterion) {
             t.num_nodes()
         })
     });
-    g.bench_function("batched", |b| {
-        b.iter(|| {
-            let mut t = fresh_tree(spec.resolution, spec.max_range);
-            for s in &scans {
-                t.insert_scan_batched(s).unwrap();
-            }
-            t.num_nodes()
-        })
-    });
-    g.bench_function("batched_parallel", |b| {
-        b.iter(|| {
-            let mut t = fresh_tree(spec.resolution, spec.max_range);
-            for s in &scans {
-                t.insert_scan_parallel(s, 0).unwrap();
-            }
-            t.num_nodes()
-        })
-    });
+    for shards in [1usize, 8] {
+        g.bench_function(format!("sharded_{shards}"), |b| {
+            b.iter(|| {
+                let mut t = fresh_tree(spec.resolution, spec.max_range);
+                for s in &scans {
+                    t.insert_points(s.origin, s.cloud.points(), shards).unwrap();
+                }
+                t.num_nodes()
+            })
+        });
+    }
     g.finish();
 }
 

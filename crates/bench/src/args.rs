@@ -5,11 +5,12 @@
 //! - `--scale X` — run `X` fraction of each dataset's scans (results are
 //!   linearly extrapolated to full-dataset estimates);
 //! - `--full` — run every scan (equivalent to `--scale 1`);
-//! - `--engine {scalar,batched,parallel,sharded[:N]}` — which update
-//!   engine drives both the software baseline and the accelerator model
-//!   (default `batched`; `scalar` reproduces the paper's stock-OctoMap
-//!   shape). Engine parsing lives in [`omu_map::Engine`], the same value
-//!   the `omu::map` facade dispatches on;
+//! - `--engine {scalar,sharded[:N]}` — which update engine drives both
+//!   the software baseline and the accelerator model (default
+//!   `sharded:1`, the Morton-batched schedule; bare `sharded` is 8
+//!   shards, the paper's PE count; `scalar` reproduces the paper's
+//!   stock-OctoMap shape). Engine parsing lives in [`omu_map::Engine`],
+//!   the same value the `omu::map` facade dispatches on;
 //! - the `OMU_SCALE` environment variable as a default scale.
 //!
 //! Without any of these, per-dataset default scales keep the whole
@@ -18,21 +19,12 @@
 use omu_map::Engine;
 
 /// Options shared by the reproduction binaries.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunOptions {
     /// Scan-count scale override (`None` = per-dataset defaults).
     pub scale: Option<f64>,
     /// Update engine for baseline and accelerator runs.
     pub engine: Engine,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            scale: None,
-            engine: Engine::Batched,
-        }
-    }
 }
 
 impl RunOptions {
@@ -56,7 +48,7 @@ impl RunOptions {
             s.parse::<f64>()
                 .unwrap_or_else(|_| panic!("OMU_SCALE must be a number, got {s:?}"))
         });
-        let mut engine = Engine::Batched;
+        let mut engine = Engine::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -92,7 +84,7 @@ mod tests {
     fn default_is_none_scale_and_batched_engine() {
         let o = RunOptions::parse(std::iter::empty(), None);
         assert_eq!(o.scale, None);
-        assert_eq!(o.engine, Engine::Batched);
+        assert_eq!(o.engine, Engine::Sharded { shards: 1 });
     }
 
     #[test]
@@ -105,8 +97,6 @@ mod tests {
     fn engine_flag_parses_all_variants() {
         for (flag, engine) in [
             ("scalar", Engine::Scalar),
-            ("batched", Engine::Batched),
-            ("parallel", Engine::Parallel),
             ("sharded", Engine::Sharded { shards: 8 }),
             ("sharded:4", Engine::Sharded { shards: 4 }),
         ] {

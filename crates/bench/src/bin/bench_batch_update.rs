@@ -15,19 +15,18 @@
 //!   subtree-sharded `apply_update_batch_parallel` swept over 1/2/4/8
 //!   shards on the persistent pool (on a 1-CPU container the sweep
 //!   measures dispatch overhead; on multi-core hosts it shows the
-//!   scaling). `sharded_{n}_scoped` rows re-run the same sweep on the
-//!   legacy per-call `thread::scope` dispatch, so the pool's win over
-//!   spawn-per-batch stays a recorded number.
+//!   scaling).
 //! - **front_end** — ray casting alone, no tree: the scalar DDA
 //!   (`scalar_dda`) vs the 8-lane SoA packet stepper (`packet`) vs the
 //!   packet stepper behind the scan pipeline (`packet_pipeline`). The
 //!   two front ends emit bit-identical update streams, so the ratio is
 //!   the pure data-parallel win.
-//! - **end_to_end** — full `insert_scan` vs `insert_scan_batched` vs
-//!   `insert_scan_parallel`, including ray casting (identical across
-//!   engines, and since the packet front end is the default it is what
-//!   these rows exercise; on a single-CPU container the parallel path
-//!   runs the same inline code below the fan-out threshold).
+//! - **end_to_end** — the scalar `insert_scan` oracle vs
+//!   `insert_points` at 1 shard (`sharded_1`, the default engine's
+//!   inline stream into the sequential batch walk) and at 8 shards
+//!   (`sharded_8`, the pipeline fan-out plus the sharded apply),
+//!   including ray casting (identical across engines, and since the
+//!   packet front end is the default it is what these rows exercise).
 //!
 //! The JSON also records the sibling-row arena's memory footprint
 //! (`heap_bytes`, `bytes_per_node`) next to the block-arena layout's
@@ -42,7 +41,7 @@ use std::time::Instant;
 use omu_bench::RunOptions;
 use omu_datasets::DatasetKind;
 use omu_geometry::Scan;
-use omu_octree::{OctreeF32, ParallelDispatch, WorkerPool};
+use omu_octree::{OctreeF32, WorkerPool};
 use omu_raycast::{FrontEnd, IntegrationMode, ScanIntegrator, ScanPipeline, VoxelUpdate};
 
 struct Measurement {
@@ -193,28 +192,21 @@ fn main() {
         }
         (total_updates, tree.num_nodes())
     }));
-    // Shard-count sweep for the subtree-sharded parallel apply — once on
-    // the persistent pool (the default), once on the legacy per-call
-    // `thread::scope` dispatch, so the recorded JSON carries the
-    // scoped-vs-pooled comparison at every width.
-    for (dispatch, suffix) in [
-        (ParallelDispatch::Pooled, ""),
-        (ParallelDispatch::ScopedThreads, "_scoped"),
-    ] {
-        for shards in [1usize, 2, 4, 8] {
-            results.push(measure(
-                "update_engine",
-                &format!("sharded_{shards}{suffix}"),
-                || {
-                    let mut tree = fresh_tree(spec.resolution, spec.max_range);
-                    tree.set_parallel_dispatch(dispatch);
-                    for batch in &batches {
-                        tree.apply_update_batch_parallel(batch, shards);
-                    }
-                    (total_updates, tree.num_nodes())
-                },
-            ));
-        }
+    // Shard-count sweep for the subtree-sharded apply on the persistent
+    // pool.
+    for shards in [1usize, 2, 4, 8] {
+        results.push(measure(
+            "update_engine",
+            &format!("sharded_{shards}"),
+            || {
+                let mut tree = fresh_tree(spec.resolution, spec.max_range);
+                for batch in &batches {
+                    tree.apply_update_batch_parallel(batch, shards)
+                        .expect("no worker panics");
+                }
+                (total_updates, tree.num_nodes())
+            },
+        ));
     }
 
     // Front-end stage: ray casting alone, no tree. Both integrators emit
@@ -279,22 +271,20 @@ fn main() {
             .sum();
         (n, tree.num_nodes())
     }));
-    results.push(measure("end_to_end", "batched", || {
-        let mut tree = fresh_tree(spec.resolution, spec.max_range);
-        let n: u64 = scans
-            .iter()
-            .map(|s| tree.insert_scan_batched(s).unwrap().total_updates())
-            .sum();
-        (n, tree.num_nodes())
-    }));
-    results.push(measure("end_to_end", "batched_parallel", || {
-        let mut tree = fresh_tree(spec.resolution, spec.max_range);
-        let n: u64 = scans
-            .iter()
-            .map(|s| tree.insert_scan_parallel(s, 0).unwrap().total_updates())
-            .sum();
-        (n, tree.num_nodes())
-    }));
+    for shards in [1usize, 8] {
+        results.push(measure("end_to_end", &format!("sharded_{shards}"), || {
+            let mut tree = fresh_tree(spec.resolution, spec.max_range);
+            let n: u64 = scans
+                .iter()
+                .map(|s| {
+                    tree.insert_points(s.origin, s.cloud.points(), shards)
+                        .unwrap()
+                        .total_updates()
+                })
+                .sum();
+            (n, tree.num_nodes())
+        }));
+    }
 
     // Memory footprint of the sibling-row arena on the finished map,
     // against the block-arena layout's measured baseline on this same
@@ -347,10 +337,9 @@ fn main() {
     let front_end_speedup = rate_of("front_end", "packet") / rate_of("front_end", "scalar_dda");
     eprintln!("front_end packet speedup vs scalar DDA: {front_end_speedup:.2}x");
     eprintln!(
-        "pooled sharded_8 vs sharded_1: {:.3}x, vs batched: {:.3}x, vs scoped sharded_8: {:.3}x",
+        "pooled sharded_8 vs sharded_1: {:.3}x, vs batched: {:.3}x",
         rate_of("update_engine", "sharded_8") / rate_of("update_engine", "sharded_1"),
         rate_of("update_engine", "sharded_8") / batched_update_rate,
-        rate_of("update_engine", "sharded_8") / rate_of("update_engine", "sharded_8_scoped"),
     );
 
     let json = format!(

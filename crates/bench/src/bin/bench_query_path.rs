@@ -18,8 +18,7 @@
 //!   (collision checks): per-probe `occupancy` vs a raw cursor fed the
 //!   unsorted stream vs `query_batch` (Morton sort + coalescing + one
 //!   cursor sweep) vs `query_batch_parallel`, the latter swept over
-//!   1/2/4/8 shards on the persistent pool and re-run on the legacy
-//!   per-call `thread::scope` dispatch (`sharded_{n}_scoped`).
+//!   1/2/4/8 shards on the persistent pool.
 //!
 //! Usage: `cargo run --release -p omu-bench --bin bench_query_path
 //! [-- --scale 0.1]`.
@@ -29,7 +28,7 @@ use std::time::Instant;
 use omu_bench::RunOptions;
 use omu_datasets::DatasetKind;
 use omu_geometry::{Point3, Scan, VoxelKey};
-use omu_octree::{OctreeF32, ParallelDispatch, WorkerPool};
+use omu_octree::{OctreeF32, WorkerPool};
 use omu_raycast::IntegrationMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,7 +98,7 @@ fn main() {
     tree.set_integration_mode(IntegrationMode::Raywise);
     tree.set_max_range(Some(spec.max_range));
     for scan in &scans {
-        tree.insert_scan_batched(scan)
+        tree.insert_points(scan.origin, scan.cloud.points(), 1)
             .expect("scans stay in the map");
     }
     eprintln!("map built: {} nodes", tree.num_nodes());
@@ -224,24 +223,13 @@ fn main() {
             std::hint::black_box(tree.query_batch_parallel(&keys, 0));
             keys.len() as u64
         }));
-        // Shard sweep, pooled vs per-call thread::scope dispatch.
-        for (dispatch, suffix) in [
-            (ParallelDispatch::Pooled, ""),
-            (ParallelDispatch::ScopedThreads, "_scoped"),
-        ] {
-            tree.set_parallel_dispatch(dispatch);
-            for shards in [1usize, 2, 4, 8] {
-                results.push(measure(
-                    "point_query",
-                    &format!("sharded_{shards}{suffix}"),
-                    || {
-                        std::hint::black_box(tree.query_batch_parallel(&keys, shards));
-                        keys.len() as u64
-                    },
-                ));
-            }
+        // Shard sweep on the persistent pool.
+        for shards in [1usize, 2, 4, 8] {
+            results.push(measure("point_query", &format!("sharded_{shards}"), || {
+                std::hint::black_box(tree.query_batch_parallel(&keys, shards));
+                keys.len() as u64
+            }));
         }
-        tree.set_parallel_dispatch(ParallelDispatch::Pooled);
     }
 
     for m in &results {

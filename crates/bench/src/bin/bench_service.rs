@@ -113,7 +113,7 @@ fn main() {
     tree.set_integration_mode(IntegrationMode::Raywise);
     tree.set_max_range(Some(spec.max_range));
     for scan in &scans {
-        tree.insert_scan_batched(scan)
+        tree.insert_points(scan.origin, scan.cloud.points(), 1)
             .expect("scans stay in the map");
     }
     eprintln!("map built: {} nodes", tree.num_nodes());
@@ -189,7 +189,7 @@ fn main() {
         let mut publishes = 0u64;
         for _ in 0..PUBLISH_PASSES {
             for scan in &scans {
-                tree.insert_scan_batched(scan)
+                tree.insert_points(scan.origin, scan.cloud.points(), 1)
                     .expect("scans stay in the map");
                 let start = Instant::now();
                 let snap = tree.publish_snapshot();

@@ -127,13 +127,13 @@ impl DatasetRun {
 }
 
 /// Runs one dataset through baseline and accelerator with the default
-/// engine ([`Engine::Batched`]).
+/// engine ([`Engine::default`]).
 ///
 /// # Panics
 ///
 /// Same contract as [`run_dataset_with_engine`].
 pub fn run_dataset(kind: DatasetKind, scale: f64) -> DatasetRun {
-    run_dataset_with_engine(kind, scale, Engine::Batched)
+    run_dataset_with_engine(kind, scale, Engine::default())
 }
 
 /// Runs one dataset through baseline and accelerator, both driven by

@@ -1,8 +1,8 @@
 //! `omu-lint` — the workspace invariant checker.
 //!
-//! The repo's core promise is that the scalar, batched, sharded and
-//! pooled engines produce **bit-identical** maps (the property the OMU
-//! accelerator model is verified against). That promise rests on a few
+//! The repo's core promise is that the scalar oracle and the sharded
+//! batch engine, at every shard count, produce **bit-identical** maps
+//! (the property the OMU accelerator model is verified against). That promise rests on a few
 //! hand-maintained disciplines that ordinary clippy cannot express:
 //!
 //! - **L1 `safety-comment`** — every `unsafe` block/fn/impl carries an
@@ -10,11 +10,9 @@
 //!   lifetime-erased task transmute is exactly the kind of site whose
 //!   soundness argument must stay next to the code.
 //! - **L2 `thread-confinement`** — `thread::spawn` / `thread::scope` /
-//!   `JoinHandle` appear only in `crates/pool` (plus explicitly allowed
-//!   legacy sites such as the `#[doc(hidden)]`
-//!   `ParallelDispatch::ScopedThreads` bench path). Every other layer
+//!   `JoinHandle` appear only in `crates/pool`. Every other layer
 //!   dispatches through the persistent [`WorkerPool`]; a stray spawn is
-//!   how per-call thread storms crept in before PR 7.
+//!   how per-call thread storms crept in before the pool existed.
 //! - **L3 `no-panic`** — library-crate non-test code returns typed
 //!   errors (`MapError`, `ParallelInsertError`, `KeyError`) instead of
 //!   `unwrap`/`expect`/`panic!`; a panic on a worker thread is a

@@ -42,9 +42,9 @@ pub trait MapBackend: std::fmt::Debug {
     fn insert_scan(&mut self, scan: &Scan, engine: Engine) -> Result<IntegrationStats, MapError>;
 
     /// Borrow-based ingestion: integrates one scan straight from its
-    /// origin and point slice. On the software backend the parallel
-    /// engines route through the persistent `ScanPipeline`, so
-    /// steady-state calls copy no point cloud at all.
+    /// origin and point slice. On the software backend
+    /// [`Engine::Sharded`] integrates the slice in place, so steady-state
+    /// calls copy no point cloud at all.
     ///
     /// # Errors
     ///
@@ -165,15 +165,11 @@ impl<V: LogOdds> MapBackend for OccupancyOctree<V> {
     }
 
     fn insert_scan(&mut self, scan: &Scan, engine: Engine) -> Result<IntegrationStats, MapError> {
-        match engine.shards() {
-            None => match engine {
-                Engine::Scalar => Ok(self.insert_scan(scan)?),
-                _ => Ok(self.insert_scan_batched(scan)?),
-            },
-            // The `try_` form surfaces a pool-worker panic as a typed
-            // `MapError::WorkerPanicked` instead of unwinding through
-            // the facade.
-            Some(shards) => Ok(self.try_insert_scan_parallel(scan, shards)?),
+        match engine {
+            Engine::Scalar => Ok(self.insert_scan(scan)?),
+            Engine::Sharded { .. } => {
+                MapBackend::insert_points(self, scan.origin, scan.cloud.points(), engine)
+            }
         }
     }
 
@@ -183,14 +179,19 @@ impl<V: LogOdds> MapBackend for OccupancyOctree<V> {
         points: &[Point3],
         engine: Engine,
     ) -> Result<IntegrationStats, MapError> {
-        match engine.shards() {
-            // The sequential engines consume a `Scan`; build one from the
+        match engine {
+            // The scalar oracle consumes a `Scan`; build one from the
             // borrowed slice.
-            None => {
+            Engine::Scalar => {
                 let scan = Scan::new(origin, points.iter().copied().collect::<PointCloud>());
-                MapBackend::insert_scan(self, &scan, engine)
+                Ok(self.insert_scan(&scan)?)
             }
-            Some(shards) => Ok(self.try_insert_points_parallel(origin, points, shards)?),
+            // A pool-worker panic surfaces as a typed
+            // `MapError::WorkerPanicked` instead of unwinding through the
+            // facade.
+            Engine::Sharded { shards } => Ok(OccupancyOctree::insert_points(
+                self, origin, points, shards,
+            )?),
         }
     }
 
@@ -430,9 +431,9 @@ mod tests {
         let mut reference = OctreeF32::new(0.1).unwrap();
         MapBackend::insert_scan(&mut reference, &scan(&points), Engine::Scalar).unwrap();
         for engine in [
-            Engine::Batched,
-            Engine::Parallel,
+            Engine::default(),
             Engine::Sharded { shards: 2 },
+            Engine::Sharded { shards: 8 },
         ] {
             let mut t = OctreeF32::new(0.1).unwrap();
             MapBackend::insert_scan(&mut t, &scan(&points), engine).unwrap();
@@ -456,8 +457,8 @@ mod tests {
             })
             .collect();
         let s = scan(&points);
-        MapBackend::insert_scan(&mut tree.0, &s, Engine::Batched).unwrap();
-        MapBackend::insert_scan(&mut accel, &s, Engine::Batched).unwrap();
+        MapBackend::insert_scan(&mut tree.0, &s, Engine::default()).unwrap();
+        MapBackend::insert_scan(&mut accel, &s, Engine::default()).unwrap();
 
         let min = VoxelKey::new(32000, 32000, 32000);
         let max = VoxelKey::new(33500, 33500, 33500);

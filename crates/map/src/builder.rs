@@ -114,8 +114,9 @@ pub struct MapBuilder {
 
 impl MapBuilder {
     /// Starts a builder for a map with voxels `resolution` metres across,
-    /// with OctoMap's default sensor model, the batched engine and the
-    /// software backend.
+    /// with OctoMap's default sensor model, the default engine
+    /// (`Engine::Sharded { shards: 1 }`, the sequential batch walk) and
+    /// the software backend.
     pub fn new(resolution: f64) -> Self {
         MapBuilder {
             resolution,
@@ -135,7 +136,7 @@ impl MapBuilder {
         }
     }
 
-    /// Selects the update engine (default: [`Engine::Batched`]).
+    /// Selects the update engine (default: `Engine::Sharded { shards: 1 }`).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
         self
@@ -386,7 +387,7 @@ mod tests {
     #[test]
     fn defaults_build_a_software_batched_map() {
         let map = MapBuilder::new(0.1).build().unwrap();
-        assert_eq!(map.engine(), Engine::Batched);
+        assert_eq!(map.engine(), Engine::Sharded { shards: 1 });
         assert_eq!(map.backend_name(), "software");
         assert!(map.is_empty());
     }

@@ -6,17 +6,16 @@ use std::str::FromStr;
 
 use omu_core::UpdateEngine;
 
-/// Maximum worker-shard count of the subtree-sharded engines (one shard
-/// per first-level octree branch, like the paper's 8 PEs).
+/// Maximum worker-shard count of [`Engine::Sharded`] (one shard per
+/// first-level octree branch, like the paper's 8 PEs).
 pub const MAX_SHARDS: usize = 8;
 
 /// Which update engine an [`OccupancyMap`](crate::OccupancyMap) drives.
 ///
-/// All engines produce bit-identical maps; they differ in how tree
+/// Both engines produce bit-identical maps; they differ in how tree
 /// maintenance is scheduled (and therefore in throughput). The engine is
 /// resolved once by the [`MapBuilder`](crate::MapBuilder), so callers
-/// never pick between `insert_scan` / `insert_scan_batched` /
-/// `insert_scan_parallel` method names again.
+/// pass a value instead of picking between insertion method names.
 ///
 /// # Examples
 ///
@@ -25,37 +24,39 @@ pub const MAX_SHARDS: usize = 8;
 ///
 /// let e: Engine = "sharded:4".parse()?;
 /// assert_eq!(e, Engine::Sharded { shards: 4 });
-/// assert_eq!(Engine::default(), Engine::Batched);
+/// assert_eq!(Engine::default(), Engine::Sharded { shards: 1 });
 /// # Ok::<(), omu_map::ParseEngineError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// One full descent + parent-refresh pass per voxel update (OctoMap's
-    /// `updateNode` loop; the paper's CPU-baseline shape).
+    /// `updateNode` loop): the paper's CPU baseline and the test oracle.
     Scalar,
     /// Per-scan Morton-sorted batches with cached descent and deferred
-    /// parent refresh (the default).
-    #[default]
-    Batched,
-    /// The subtree-sharded parallel pipeline with one worker per
-    /// available CPU.
-    Parallel,
-    /// The subtree-sharded parallel pipeline with an explicit worker
-    /// count (1 ..= [`MAX_SHARDS`]).
+    /// parent refresh, with ray casting and the tree apply spread over
+    /// `shards` workers (one first-level octree branch per shard, like
+    /// the paper's PEs). `Sharded { shards: 1 }` is the default.
     Sharded {
-        /// Worker shards for ray casting and the parallel tree apply.
+        /// Worker shards for ray casting and the tree apply
+        /// (1 ..= [`MAX_SHARDS`]).
         shards: usize,
     },
 }
 
+impl Default for Engine {
+    fn default() -> Self {
+        Engine::Sharded { shards: 1 }
+    }
+}
+
 impl Engine {
-    /// Every engine family, with [`Engine::Sharded`] at the paper's 8-PE
-    /// design point — handy for sweeps and equivalence tests.
-    pub const ALL: [Engine; 4] = [
+    /// The oracle, the default and the paper's 8-PE design point — one
+    /// engine per accelerator schedule, handy for sweeps and equivalence
+    /// tests.
+    pub const ALL: [Engine; 3] = [
         Engine::Scalar,
-        Engine::Batched,
-        Engine::Parallel,
-        Engine::Sharded { shards: 8 },
+        Engine::Sharded { shards: 1 },
+        Engine::Sharded { shards: MAX_SHARDS },
     ];
 
     /// The flag spelling of this engine's family (`--engine` value;
@@ -63,31 +64,28 @@ impl Engine {
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Scalar => "scalar",
-            Engine::Batched => "batched",
-            Engine::Parallel => "parallel",
             Engine::Sharded { .. } => "sharded",
         }
     }
 
-    /// The accelerator front end this engine maps onto: both parallel
-    /// variants drive the PE-grouped sharded front end (the shard count
-    /// is a software-side knob; the PE count is hardware configuration).
+    /// The accelerator schedule this engine maps onto: one shard is the
+    /// Morton-batched schedule, more shards the PE-grouped sharded one
+    /// (the shard count is a software-side knob; the PE count is
+    /// hardware configuration).
     pub fn update_engine(&self) -> UpdateEngine {
         match self {
             Engine::Scalar => UpdateEngine::Scalar,
-            Engine::Batched => UpdateEngine::MortonBatched,
-            Engine::Parallel | Engine::Sharded { .. } => UpdateEngine::ShardedParallel,
+            Engine::Sharded { shards: 1 } => UpdateEngine::MortonBatched,
+            Engine::Sharded { .. } => UpdateEngine::ShardedParallel,
         }
     }
 
-    /// The worker-shard count the software tree paths use: `None` for the
-    /// sequential engines, `Some(0)` ("one per CPU") for
-    /// [`Engine::Parallel`], the explicit count for [`Engine::Sharded`].
-    pub fn shards(&self) -> Option<usize> {
+    /// The worker-shard count the software read and write paths use (`1`
+    /// for [`Engine::Scalar`]).
+    pub fn shards(&self) -> usize {
         match self {
-            Engine::Scalar | Engine::Batched => None,
-            Engine::Parallel => Some(0),
-            Engine::Sharded { shards } => Some(*shards),
+            Engine::Scalar => 1,
+            Engine::Sharded { shards } => *shards,
         }
     }
 
@@ -128,8 +126,8 @@ impl fmt::Display for ParseEngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown engine {:?} (expected scalar, batched, parallel, sharded or sharded:N \
-             with N in 1..={MAX_SHARDS})",
+            "unknown engine {:?} (expected scalar, sharded or sharded:N with N in \
+             1..={MAX_SHARDS})",
             self.input
         )
     }
@@ -140,17 +138,14 @@ impl std::error::Error for ParseEngineError {}
 impl FromStr for Engine {
     type Err = ParseEngineError;
 
-    /// Parses the shared `--engine` flag: `scalar`, `batched`,
-    /// `parallel`, `sharded` (8 shards, the paper's PE count) or
-    /// `sharded:N`.
+    /// Parses the shared `--engine` flag: `scalar`, `sharded` (8 shards,
+    /// the paper's PE count) or `sharded:N`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let reject = || ParseEngineError {
             input: s.to_owned(),
         };
         match s {
             "scalar" => Ok(Engine::Scalar),
-            "batched" => Ok(Engine::Batched),
-            "parallel" => Ok(Engine::Parallel),
             "sharded" => Ok(Engine::Sharded { shards: MAX_SHARDS }),
             other => {
                 let shards = other
@@ -172,8 +167,7 @@ mod tests {
     fn parse_roundtrips_display() {
         for e in [
             Engine::Scalar,
-            Engine::Batched,
-            Engine::Parallel,
+            Engine::default(),
             Engine::Sharded { shards: 3 },
         ] {
             assert_eq!(e.to_string().parse::<Engine>(), Ok(e));
@@ -187,7 +181,15 @@ mod tests {
 
     #[test]
     fn bad_inputs_rejected() {
-        for bad in ["", "warp-drive", "sharded:0", "sharded:9", "sharded:x"] {
+        for bad in [
+            "",
+            "warp-drive",
+            "batched",
+            "parallel",
+            "sharded:0",
+            "sharded:9",
+            "sharded:x",
+        ] {
             let e = bad.parse::<Engine>().unwrap_err();
             assert_eq!(e.input, bad);
             assert!(e.to_string().contains("unknown engine"));
@@ -197,10 +199,9 @@ mod tests {
     #[test]
     fn update_engine_mapping() {
         assert_eq!(Engine::Scalar.update_engine(), UpdateEngine::Scalar);
-        assert_eq!(Engine::Batched.update_engine(), UpdateEngine::MortonBatched);
         assert_eq!(
-            Engine::Parallel.update_engine(),
-            UpdateEngine::ShardedParallel
+            Engine::Sharded { shards: 1 }.update_engine(),
+            UpdateEngine::MortonBatched
         );
         assert_eq!(
             Engine::Sharded { shards: 2 }.update_engine(),

@@ -1,23 +1,22 @@
 //! The unified mapping facade: one [`OccupancyMap`] API over every
 //! engine and backend of the OMU reproduction.
 //!
-//! Two layers of engine growth left the low-level surface fragmented:
-//! the software octree exposes `insert_scan` / `insert_scan_batched` /
-//! `insert_scan_parallel` / `insert_points_parallel`, the accelerator
-//! model `integrate_scan` / `integrate_scan_batched` /
-//! `integrate_scan_sharded`, and their query paths return two different
-//! error types. This crate is the front door over all of it, modeled on
+//! The low-level layers expose their engines as methods — the software
+//! octree's scalar `insert_scan` oracle and its sharded `insert_points`,
+//! the accelerator model's `integrate_scan` / `integrate_scan_batched` /
+//! `integrate_scan_sharded` schedules — and their query paths return two
+//! different error types. This crate is the front door over all of it, modeled on
 //! the unified occupancy interfaces of OHM (one map API over CPU/GPU
 //! backends) and the VDB-mapping library (one insert/query facade):
 //!
 //! - [`MapBuilder`] resolves every knob up front — resolution, sensor
-//!   model, [`Engine`] (scalar / batched / parallel / sharded),
+//!   model, [`Engine`] (the scalar oracle, or sharded over N workers),
 //!   [`Backend`] (software octree in either value representation, or
 //!   the OMU accelerator model), integration mode, max range, pruning,
 //!   change detection.
 //! - [`OccupancyMap`] unifies ingestion ([`OccupancyMap::insert`], the
-//!   borrow-based [`OccupancyMap::insert_points`] riding the persistent
-//!   `ScanPipeline`), queries behind one [`QueryView`] (occupancy,
+//!   borrow-based [`OccupancyMap::insert_points`] integrating a point
+//!   slice in place), queries behind one [`QueryView`] (occupancy,
 //!   ray casting, sphere collision probes, region iteration),
 //!   change-set draining and persistence.
 //! - [`MapBackend`] is the trait both

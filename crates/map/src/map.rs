@@ -25,8 +25,8 @@ pub(crate) enum Inner {
 
 /// A probabilistic 3D occupancy map with one API over every engine and
 /// backend: the software octree (float or fixed point) and the OMU
-/// accelerator model, fed by the scalar, batched or sharded-parallel
-/// update pipelines.
+/// accelerator model, fed by the scalar oracle or the sharded batch
+/// engine.
 ///
 /// Construct through [`MapBuilder`]; all knobs are resolved up front.
 /// Ingestion goes through [`Self::insert`] / [`Self::insert_points`],
@@ -43,7 +43,7 @@ pub(crate) enum Inner {
 ///
 /// # fn main() -> Result<(), omu_map::MapError> {
 /// let mut map = MapBuilder::new(0.1)
-///     .engine(Engine::Batched)
+///     .engine(Engine::Sharded { shards: 8 })
 ///     .backend(Backend::Accelerator(OmuConfig::default()))
 ///     .build()?;
 /// let scan = Scan::new(
@@ -145,9 +145,9 @@ impl OccupancyMap {
     }
 
     /// Borrow-based ingestion: integrates one scan straight from its
-    /// origin and point slice — under the parallel engines this reuses
-    /// the software backend's persistent `ScanPipeline`, so steady-state
-    /// calls allocate nothing and copy no point cloud.
+    /// origin and point slice — under [`Engine::Sharded`] the software
+    /// backend integrates the slice in place, so steady-state calls
+    /// allocate nothing and copy no point cloud.
     ///
     /// # Errors
     ///
@@ -162,12 +162,10 @@ impl OccupancyMap {
     }
 
     /// The worker count the read path shares with the write engine:
-    /// `&self` queries are embarrassingly parallel, so the parallel and
-    /// sharded engines fan read batches across the same number of
-    /// threads they use for updates (the sequential engines stay
-    /// single-threaded).
+    /// `&self` queries are embarrassingly parallel, so read batches fan
+    /// out across the same number of shards the engine uses for updates.
     fn read_shards(&self) -> usize {
-        self.engine.shards().unwrap_or(1)
+        self.engine.shards()
     }
 
     /// Borrows the map as a [`QueryView`] — the query surface shared by
@@ -404,7 +402,7 @@ impl OccupancyMap {
 
     /// Restores a software-backed (`f32`) map from bytes produced by
     /// [`Self::to_bytes`]. Resolution and sensor model come from the
-    /// encoding; the engine defaults to [`Engine::Batched`]
+    /// encoding; the engine defaults to [`Engine::default`]
     /// ([`Self::set_engine`] to change it).
     ///
     /// # Errors
@@ -544,7 +542,7 @@ impl QueryView<'_> {
     /// Classifies a batch of points, returning occupancies in input
     /// order through the backend's batched query engine — the software
     /// tree Morton-sorts the batch for one cached-descent sweep (chunked
-    /// across the engine's worker threads under the parallel engines);
+    /// across the engine's worker shards under a multi-shard engine);
     /// the accelerator serves it through the voxel query unit's register
     /// file. Bit-identical to calling [`Self::occupancy_at`] per point.
     ///
@@ -595,8 +593,8 @@ impl QueryView<'_> {
 
     /// Casts a batch of query rays (`(origin, direction)` pairs), each
     /// through a cached-descent cursor, returning results in input
-    /// order. Under the parallel engines the software backend chunks the
-    /// batch across its worker threads (`&self` queries are
+    /// order. Under a multi-shard engine the software backend chunks the
+    /// batch across its worker shards (`&self` queries are
     /// embarrassingly parallel); results are bit-identical to casting
     /// each ray through [`Self::cast_ray`].
     ///

@@ -312,35 +312,13 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// available CPU. The resulting tree is bit-identical to the scalar
     /// and sequential-batched paths.
     ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics while applying a branch (the tree
-    /// stays structurally valid; see
-    /// [`try_apply_update_batch_parallel`](Self::try_apply_update_batch_parallel)
-    /// for the non-panicking form).
-    pub fn apply_update_batch_parallel(
-        &mut self,
-        updates: &[VoxelUpdate],
-        shards: usize,
-    ) -> BatchStats {
-        self.try_apply_update_batch_parallel(updates, shards)
-            // omu-lint: allow(no-panic) — documented `# Panics`
-            // contract: this wrapper re-raises worker panics; the `try_`
-            // form returns the typed `TaskPanic` instead.
-            .unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// [`apply_update_batch_parallel`](Self::apply_update_batch_parallel)
-    /// reporting worker panics as a typed [`TaskPanic`] instead of
-    /// unwinding.
-    ///
     /// # Errors
     ///
     /// Returns [`TaskPanic`] when a branch task panicked. Every branch
     /// shard has been reattached and the root spine finished — the tree
     /// remains structurally valid (`debug_validate`-clean) and usable,
     /// though the failed batch may be partially applied.
-    pub fn try_apply_update_batch_parallel(
+    pub fn apply_update_batch_parallel(
         &mut self,
         updates: &[VoxelUpdate],
         shards: usize,
@@ -372,50 +350,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
         // the sequential walk, which spawns no workers and so cannot
         // report a `TaskPanic`.
         .expect("the sequential walk spawns no workers")
-    }
-
-    /// [`apply_logodds_batch`](Self::apply_logodds_batch) through the
-    /// subtree-sharded parallel walk (see
-    /// [`apply_update_batch_parallel`](Self::apply_update_batch_parallel)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics while applying a branch (see
-    /// [`try_apply_logodds_batch_parallel`](Self::try_apply_logodds_batch_parallel)).
-    pub fn apply_logodds_batch_parallel(
-        &mut self,
-        updates: &[(VoxelKey, V)],
-        shards: usize,
-    ) -> BatchStats {
-        self.try_apply_logodds_batch_parallel(updates, shards)
-            // omu-lint: allow(no-panic) — documented `# Panics`
-            // contract: this wrapper re-raises worker panics; the `try_`
-            // form returns the typed `TaskPanic` instead.
-            .unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// [`apply_logodds_batch_parallel`](Self::apply_logodds_batch_parallel)
-    /// reporting worker panics as a typed [`TaskPanic`] instead of
-    /// unwinding (same contract as
-    /// [`try_apply_update_batch_parallel`](Self::try_apply_update_batch_parallel)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskPanic`] when a branch task panicked; the tree stays
-    /// structurally valid.
-    pub fn try_apply_logodds_batch_parallel(
-        &mut self,
-        updates: &[(VoxelKey, V)],
-        shards: usize,
-    ) -> Result<BatchStats, TaskPanic> {
-        self.apply_batch_with(
-            updates,
-            |&(key, _)| key,
-            |_| 0,
-            |&(_, delta)| delta,
-            DeltaMode::Raw,
-            Some(shards),
-        )
     }
 
     /// The batch engine core: hashed group-by-key, Morton sort of the
@@ -521,7 +455,15 @@ impl<V: LogOdds> OccupancyOctree<V> {
             }
         }
 
-        self.finish_grouped_batch(scratch, mode, &mut stats, parallel_shards)?;
+        self.finish_grouped_batch(scratch, &mut stats, |tree, scratch, stats, created| {
+            match parallel_shards {
+                None => {
+                    tree.walk_sequential(scratch, mode, stats, created);
+                    Ok(())
+                }
+                Some(shards) => tree.walk_sharded(scratch, mode, stats, created, shards),
+            }
+        })?;
         Ok(stats)
     }
 
@@ -537,37 +479,10 @@ impl<V: LogOdds> OccupancyOctree<V> {
     ///
     /// Returns `fill`'s result alongside the batch statistics (an empty
     /// stream touches nothing and reports zero updates).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics while applying a sharded batch (see
-    /// [`try_apply_update_stream`](Self::try_apply_update_stream)).
     pub fn apply_update_stream<R>(
         &mut self,
-        parallel_shards: Option<usize>,
         fill: impl FnOnce(&mut UpdateSink<'_, V>) -> R,
     ) -> (R, BatchStats) {
-        self.try_apply_update_stream(parallel_shards, fill)
-            // omu-lint: allow(no-panic) — documented `# Panics`
-            // contract: this wrapper re-raises worker panics; the `try_`
-            // form returns the typed `TaskPanic` instead.
-            .unwrap_or_else(|p| panic!("{p}"))
-    }
-
-    /// [`apply_update_stream`](Self::apply_update_stream) reporting worker
-    /// panics as a typed [`TaskPanic`] instead of unwinding.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskPanic`] when a pool task panicked during the sharded
-    /// walk; the tree stays structurally valid (all shards reattached),
-    /// though the batch may be partially applied and `fill`'s result is
-    /// lost.
-    pub fn try_apply_update_stream<R>(
-        &mut self,
-        parallel_shards: Option<usize>,
-        fill: impl FnOnce(&mut UpdateSink<'_, V>) -> R,
-    ) -> Result<(R, BatchStats), TaskPanic> {
         let hit = self.resolved.hit;
         let miss = self.resolved.miss;
 
@@ -590,7 +505,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         };
         if scratch.ids.is_empty() {
             self.batch_scratch = scratch;
-            return Ok((result, stats));
+            return (result, stats);
         }
 
         // Turn counts into ranges (see `apply_batch_with`).
@@ -617,25 +532,23 @@ impl<V: LogOdds> OccupancyOctree<V> {
             }
         }
 
-        self.finish_grouped_batch(
-            scratch,
-            DeltaMode::HitMiss { hit, miss },
-            &mut stats,
-            parallel_shards,
-        )?;
-        Ok((result, stats))
+        let mode = DeltaMode::HitMiss { hit, miss };
+        self.finish_grouped_batch(scratch, &mut stats, |tree, scratch, stats, created| {
+            tree.walk_sequential(scratch, mode, stats, created)
+        });
+        (result, stats)
     }
 
     /// Shared tail of the batched paths, from grouped-and-scattered
     /// scratch to finished tree: Morton sort of the unique keys, the
-    /// cached-descent walk, and counter accounting.
-    fn finish_grouped_batch(
+    /// cached-descent `walk` (handed the tree, the scratch, the stats and
+    /// whether the root was just created), and counter accounting.
+    fn finish_grouped_batch<R>(
         &mut self,
         mut scratch: BatchScratch<V>,
-        mode: DeltaMode<V>,
         stats: &mut BatchStats,
-        parallel_shards: Option<usize>,
-    ) -> Result<(), TaskPanic> {
+        walk: impl FnOnce(&mut Self, &BatchScratch<V>, &mut BatchStats, bool) -> R,
+    ) -> R {
         // One atomic load: refresh the snapshot-pin state so this batch
         // copies rows only for snapshots still alive, and retired rows
         // whose pins died return to the free lists.
@@ -657,13 +570,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
             root_just_created = true;
         }
 
-        let walked = match parallel_shards {
-            None => {
-                self.walk_sequential(&scratch, mode, stats, root_just_created);
-                Ok(())
-            }
-            Some(shards) => self.walk_sharded(&scratch, mode, stats, root_just_created, shards),
-        };
+        let walked = walk(self, &scratch, stats, root_just_created);
 
         // Scratch restore and counter accounting run even when a worker
         // panicked — the tree is structurally finished either way.

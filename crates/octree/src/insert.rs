@@ -1,6 +1,6 @@
 //! Point-cloud insertion: OctoMap's `insertPointCloud` on top of the
-//! ray-casting integrator, in scalar, batched and parallel-batched
-//! flavours.
+//! ray-casting integrator — the scalar per-voxel oracle, and one batched
+//! insert whose parallelism is a shard count.
 
 use omu_geometry::{KeyError, LogOdds, Point3, Scan};
 use omu_pool::TaskPanic;
@@ -8,9 +8,9 @@ use omu_raycast::{IntegrationStats, ScanIntegrator, ScanPipeline};
 
 use crate::tree::OccupancyOctree;
 
-/// Why a `try_*` parallel insertion failed: either the scan itself was
-/// unusable (bad origin), or a pool worker panicked while applying the
-/// sharded batch.
+/// Why [`OccupancyOctree::insert_points`] failed: either the scan itself
+/// was unusable (bad origin), or a pool worker panicked while applying
+/// the sharded batch.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ParallelInsertError {
@@ -121,155 +121,70 @@ impl<V: LogOdds> OccupancyOctree<V> {
         }
     }
 
-    /// Shared tail of the batched insertion paths: apply the collected
-    /// updates through the batch engine (sequential, or subtree-sharded
-    /// over `apply_shards` threads), hand the scratch buffer back, and
-    /// account DDA steps.
-    fn finish_batched_insert(
-        &mut self,
-        result: Result<IntegrationStats, KeyError>,
-        updates: Vec<omu_raycast::VoxelUpdate>,
-        apply_shards: Option<usize>,
-    ) -> Result<IntegrationStats, ParallelInsertError> {
-        match result {
-            Ok(stats) => {
-                let applied = match apply_shards {
-                    None => {
-                        self.apply_update_batch(&updates);
-                        Ok(())
-                    }
-                    Some(shards) => self
-                        .try_apply_update_batch_parallel(&updates, shards)
-                        .map(|_| ()),
-                };
-                self.scratch_updates = updates;
-                applied?;
-                self.counters.dda_steps += stats.dda_steps;
-                Ok(stats)
-            }
-            Err(e) => {
-                // Keep the buffer's capacity even on a bad-origin scan.
-                self.scratch_updates = updates;
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Integrates a full scan through the batched update engine: ray
-    /// casting emits one update batch which is applied Morton-sorted with
-    /// cached descent and deferred parent refresh (see the batch module).
+    /// Integrates one scan straight from its origin and point slice
+    /// through the batched update engine, with ray casting and the tree
+    /// apply spread over up to `shards` workers (`0` = one per available
+    /// CPU) — the software mirror of the paper's PE × bank parallelism,
+    /// and the one production scan insert.
     ///
-    /// The resulting map is bit-identical to [`Self::insert_scan`]; only
-    /// the amount of tree-maintenance work differs.
+    /// A scan that runs inline (one shard, or fewer than
+    /// [`PARALLEL_MIN_POINTS`](omu_raycast::PARALLEL_MIN_POINTS) points)
+    /// streams the tree's sequential integrator straight into the
+    /// Morton-sorted batch walk, so its update stream is never
+    /// materialized. Any other scan fans out through the tree's
+    /// persistent [`ScanPipeline`] (no per-call point-cloud copies), and
+    /// the merged stream is applied by the subtree-sharded walk on the
+    /// tree's worker pool.
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::insert_scan`].
-    pub fn insert_scan_batched(&mut self, scan: &Scan) -> Result<IntegrationStats, KeyError> {
-        let mut integrator = self.take_scratch_integrator();
-
-        // Stream the front end's emission straight into the batch
-        // engine's group-by pass: the scan's update stream is never
-        // materialized (a full write+read of ~8 bytes per update saved).
-        let (result, _) =
-            self.apply_update_stream(None, |sink| integrator.integrate(scan, |u| sink.push(u)));
-        self.scratch_integrator = Some(integrator);
-
-        let stats = result?;
-        self.counters.dda_steps += stats.dda_steps;
-        Ok(stats)
-    }
-
-    /// Integrates a full scan with ray casting fanned out over `threads`
-    /// shards (`0` = one per available CPU) through the tree's persistent
-    /// [`ScanPipeline`], and the merged update stream applied through the
-    /// subtree-sharded parallel batch engine — the software mirror of the
-    /// paper's PE × bank parallelism, end to end.
-    ///
-    /// In [`Raywise`](omu_raycast::IntegrationMode::Raywise) mode the
-    /// resulting map is bit-identical to [`Self::insert_scan`]; in dedup
-    /// mode it is identical up to the (semantically irrelevant) emission
-    /// order of the per-scan key sets.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::insert_scan`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics during the sharded batch apply (see
-    /// [`Self::try_insert_scan_parallel`] for the non-panicking form).
-    pub fn insert_scan_parallel(
-        &mut self,
-        scan: &Scan,
-        threads: usize,
-    ) -> Result<IntegrationStats, KeyError> {
-        self.insert_points_parallel(scan.origin, scan.cloud.points(), threads)
-    }
-
-    /// [`Self::insert_scan_parallel`] reporting pool-worker panics as a
-    /// typed [`ParallelInsertError::WorkerPanic`] instead of unwinding.
+    /// The resulting map is bit-identical to [`Self::insert_scan`], in
+    /// both integration modes and at every shard count.
     ///
     /// # Errors
     ///
     /// [`ParallelInsertError::Key`] when the scan origin is outside the
-    /// map (nothing applied), [`ParallelInsertError::WorkerPanic`] when a
-    /// worker panicked mid-apply (tree structurally valid, scan possibly
-    /// partially applied).
-    pub fn try_insert_scan_parallel(
-        &mut self,
-        scan: &Scan,
-        threads: usize,
-    ) -> Result<IntegrationStats, ParallelInsertError> {
-        self.try_insert_points_parallel(scan.origin, scan.cloud.points(), threads)
-    }
-
-    /// The borrow-based form of [`Self::insert_scan_parallel`]: integrates
-    /// one scan straight from its origin and point slice, with zero
-    /// per-call point-cloud copies (the persistent pipeline owns every
-    /// reusable buffer).
+    /// map (nothing applied; out-of-map endpoints are skipped and counted
+    /// in the returned statistics), [`ParallelInsertError::WorkerPanic`]
+    /// when a worker panicked mid-apply (tree structurally valid, scan
+    /// possibly partially applied).
     ///
-    /// # Errors
+    /// # Examples
     ///
-    /// Same contract as [`Self::insert_scan`].
+    /// ```
+    /// use omu_geometry::{Occupancy, Point3};
+    /// use omu_octree::OctreeF32;
     ///
-    /// # Panics
-    ///
-    /// Panics if a pool worker panics during the sharded batch apply (see
-    /// [`Self::try_insert_points_parallel`]).
-    pub fn insert_points_parallel(
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut tree = OctreeF32::new(0.1)?;
+    /// let stats = tree.insert_points(Point3::ZERO, &[Point3::new(1.0, 0.0, 0.0)], 8)?;
+    /// assert_eq!(stats.rays, 1);
+    /// assert_eq!(tree.occupancy_at(Point3::new(1.0, 0.0, 0.0))?, Occupancy::Occupied);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn insert_points(
         &mut self,
         origin: Point3,
         points: &[Point3],
-        threads: usize,
-    ) -> Result<IntegrationStats, KeyError> {
-        match self.try_insert_points_parallel(origin, points, threads) {
-            Ok(stats) => Ok(stats),
-            Err(ParallelInsertError::Key(e)) => Err(e),
-            // omu-lint: allow(no-panic) — documented `# Panics` contract:
-            // re-raises worker panics; `try_insert_points_parallel` is
-            // the typed-error form.
-            Err(ParallelInsertError::WorkerPanic(p)) => panic!("{p}"),
+        shards: usize,
+    ) -> Result<IntegrationStats, ParallelInsertError> {
+        // Resolve `0 = per-CPU` up front, so the inline decision and the
+        // pipeline cache both see the count that actually runs.
+        let shards = ScanPipeline::resolve_shards(shards);
+        if ScanPipeline::would_run_inline(shards, points.len()) {
+            let mut integrator = self.take_scratch_integrator();
+            // Stream the front end's emission straight into the batch
+            // engine's group-by pass: the scan's update stream is never
+            // materialized (a full write+read of ~8 bytes per update
+            // saved).
+            let (result, _) = self.apply_update_stream(|sink| {
+                integrator.integrate_points(origin, points, |u| sink.push(u))
+            });
+            self.scratch_integrator = Some(integrator);
+            let stats = result?;
+            self.counters.dda_steps += stats.dda_steps;
+            return Ok(stats);
         }
-    }
 
-    /// [`Self::insert_points_parallel`] reporting pool-worker panics as a
-    /// typed [`ParallelInsertError::WorkerPanic`] instead of unwinding
-    /// (same contract as [`Self::try_insert_scan_parallel`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::try_insert_scan_parallel`].
-    pub fn try_insert_points_parallel(
-        &mut self,
-        origin: Point3,
-        points: &[Point3],
-        threads: usize,
-    ) -> Result<IntegrationStats, ParallelInsertError> {
-        // Resolve `0 = per-CPU` before the cache check, so a cached
-        // pipeline built with an explicit shard count is not silently
-        // reused for an auto-sharded call (or vice versa).
-        let shards = ScanPipeline::resolve_shards(threads);
         let mut pipeline = match self.scratch_pipeline.take() {
             Some(p)
                 if p.mode() == self.integration_mode
@@ -287,27 +202,9 @@ impl<V: LogOdds> OccupancyOctree<V> {
                 self.front_end,
             ),
         };
-
-        // On the inline path (one shard, or a scan below the fan-out
-        // threshold) there is no merge step, so the worker's emission can
-        // stream straight into the batch engine like the sequential
-        // batched path — the parallel engine then pays zero buffering
-        // when parallelism would not help.
-        if pipeline.mode() == omu_raycast::IntegrationMode::Raywise
-            && pipeline.would_run_inline(points.len())
-        {
-            let (result, _) = self.apply_update_stream(None, |sink| {
-                pipeline.integrate_inline(origin, points, |u| sink.push(u))
-            });
-            self.scratch_pipeline = Some(pipeline);
-            let stats = result?;
-            self.counters.dda_steps += stats.dda_steps;
-            return Ok(stats);
-        }
-
-        // The fan-out path runs on the tree's persistent pool: share it
-        // with the pipeline so ray casting and the sharded apply reuse
-        // one set of workers.
+        // The fan-out runs on the tree's persistent pool: share it with
+        // the pipeline so ray casting and the sharded apply reuse one set
+        // of workers.
         if pipeline.worker_pool().is_none() {
             pipeline.set_pool(self.worker_pool_handle());
         }
@@ -316,20 +213,39 @@ impl<V: LogOdds> OccupancyOctree<V> {
         updates.clear();
         let result = pipeline.integrate_into(origin, points, &mut updates);
         self.scratch_pipeline = Some(pipeline);
-
-        self.finish_batched_insert(result, updates, Some(threads))
+        let applied = result.map_err(ParallelInsertError::from).and_then(|stats| {
+            self.apply_update_batch_parallel(&updates, shards)?;
+            Ok(stats)
+        });
+        // Keep the buffer's capacity whatever happened.
+        self.scratch_updates = updates;
+        let stats = applied?;
+        self.counters.dda_steps += stats.dda_steps;
+        Ok(stats)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use omu_geometry::{Occupancy, Point3, PointCloud, Scan};
-    use omu_raycast::IntegrationMode;
+    use omu_raycast::{IntegrationMode, PARALLEL_MIN_POINTS};
 
+    use super::ParallelInsertError;
     use crate::tree::OctreeF32;
 
     fn scan(origin: Point3, points: &[Point3]) -> Scan {
         Scan::new(origin, points.iter().copied().collect::<PointCloud>())
+    }
+
+    /// `n` endpoints on a ring — above [`PARALLEL_MIN_POINTS`] a scan of
+    /// them fans out through the pipeline.
+    fn ring(n: usize) -> Vec<Point3> {
+        (0..n)
+            .map(|i| {
+                let a = i as f64 * 0.26;
+                Point3::new(2.0 * a.cos(), 2.0 * a.sin(), ((i % 5) as f64 - 2.0) * 0.1)
+            })
+            .collect()
     }
 
     #[test]
@@ -422,17 +338,17 @@ mod tests {
                 Point3::new(2.5 * a.cos(), 2.5 * a.sin(), ((i % 7) as f64 - 3.0) * 0.2)
             })
             .collect();
-        let scans: Vec<Scan> = (0..3)
-            .map(|i| scan(Point3::new(0.01 * i as f64, 0.02, 0.01), &points))
+        let origins: Vec<Point3> = (0..3)
+            .map(|i| Point3::new(0.01 * i as f64, 0.02, 0.01))
             .collect();
 
         let mut scalar = OctreeF32::new(0.1).unwrap();
         let mut batched = OctreeF32::new(0.1).unwrap();
         let mut parallel = OctreeF32::new(0.1).unwrap();
-        for s in &scans {
-            let a = scalar.insert_scan(s).unwrap();
-            let b = batched.insert_scan_batched(s).unwrap();
-            let c = parallel.insert_scan_parallel(s, 3).unwrap();
+        for &o in &origins {
+            let a = scalar.insert_scan(&scan(o, &points)).unwrap();
+            let b = batched.insert_points(o, &points, 1).unwrap();
+            let c = parallel.insert_points(o, &points, 3).unwrap();
             assert_eq!(a, b);
             assert_eq!(a, c);
         }
@@ -456,15 +372,11 @@ mod tests {
 
         let mut batched = OctreeF32::new(0.1).unwrap();
         batched.set_integration_mode(IntegrationMode::DedupPerScan);
-        batched
-            .insert_scan_batched(&scan(Point3::ZERO, &points))
-            .unwrap();
+        batched.insert_points(Point3::ZERO, &points, 1).unwrap();
 
         let mut parallel = OctreeF32::new(0.1).unwrap();
         parallel.set_integration_mode(IntegrationMode::DedupPerScan);
-        parallel
-            .insert_scan_parallel(&scan(Point3::ZERO, &points), 2)
-            .unwrap();
+        parallel.insert_points(Point3::ZERO, &points, 2).unwrap();
 
         assert_eq!(scalar.snapshot(), batched.snapshot());
         assert_eq!(scalar.snapshot(), parallel.snapshot());
@@ -474,19 +386,20 @@ mod tests {
     fn front_end_switch_is_not_cached_stale() {
         use omu_raycast::FrontEnd;
         let mut t = OctreeF32::new(0.1).unwrap();
-        let s = scan(Point3::ZERO, &[Point3::new(0.5, 0.0, 0.0)]);
-        t.insert_scan_batched(&s).unwrap();
+        let small = [Point3::new(0.5, 0.0, 0.0)];
+        t.insert_points(Point3::ZERO, &small, 1).unwrap();
         assert_eq!(
             t.scratch_integrator.as_ref().unwrap().front_end(),
             FrontEnd::Packet
         );
         t.set_front_end(FrontEnd::Scalar);
-        t.insert_scan_batched(&s).unwrap();
+        t.insert_points(Point3::ZERO, &small, 1).unwrap();
         assert_eq!(
             t.scratch_integrator.as_ref().unwrap().front_end(),
             FrontEnd::Scalar
         );
-        t.insert_scan_parallel(&s, 2).unwrap();
+        t.insert_points(Point3::ZERO, &ring(PARALLEL_MIN_POINTS), 2)
+            .unwrap();
         assert_eq!(
             t.scratch_pipeline.as_ref().unwrap().front_end(),
             FrontEnd::Scalar
@@ -513,8 +426,8 @@ mod tests {
         let mut scalar = OctreeF32::new(0.1).unwrap();
         scalar.set_front_end(FrontEnd::Scalar);
         for s in &scans {
-            let a = packet.insert_scan_batched(s).unwrap();
-            let b = scalar.insert_scan_batched(s).unwrap();
+            let a = packet.insert_points(s.origin, s.cloud.points(), 1).unwrap();
+            let b = scalar.insert_points(s.origin, s.cloud.points(), 1).unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(packet.snapshot(), scalar.snapshot());
@@ -525,46 +438,49 @@ mod tests {
     fn parallel_shard_count_is_not_cached_stale() {
         use omu_raycast::ScanPipeline;
         let mut t = OctreeF32::new(0.1).unwrap();
-        let s = scan(Point3::ZERO, &[Point3::new(0.5, 0.0, 0.0)]);
-        t.insert_scan_parallel(&s, 2).unwrap();
+        let points = ring(PARALLEL_MIN_POINTS);
+        t.insert_points(Point3::ZERO, &points, 2).unwrap();
         assert_eq!(t.scratch_pipeline.as_ref().unwrap().shards(), 2);
         // `0 = per-CPU` must not silently reuse the 2-shard pipeline.
-        t.insert_scan_parallel(&s, 0).unwrap();
-        assert_eq!(
-            t.scratch_pipeline.as_ref().unwrap().shards(),
-            ScanPipeline::resolve_shards(0)
-        );
-        t.insert_scan_parallel(&s, 3).unwrap();
+        t.insert_points(Point3::ZERO, &points, 0).unwrap();
+        if ScanPipeline::resolve_shards(0) > 1 {
+            assert_eq!(
+                t.scratch_pipeline.as_ref().unwrap().shards(),
+                ScanPipeline::resolve_shards(0)
+            );
+        }
+        t.insert_points(Point3::ZERO, &points, 3).unwrap();
         assert_eq!(t.scratch_pipeline.as_ref().unwrap().shards(), 3);
     }
 
     #[test]
     fn borrowed_points_insertion_matches_scan_insertion() {
-        let points: Vec<Point3> = (0..24)
-            .map(|i| {
-                let a = i as f64 * 0.26;
-                Point3::new(2.0 * a.cos(), 2.0 * a.sin(), 0.2)
-            })
-            .collect();
+        // Above the fan-out threshold: the pipeline path against the
+        // `Scan`-form scalar oracle.
+        let points = ring(PARALLEL_MIN_POINTS + 200);
         let origin = Point3::new(0.01, 0.02, 0.01);
         let mut by_scan = OctreeF32::new(0.1).unwrap();
-        let a = by_scan
-            .insert_scan_parallel(&scan(origin, &points), 2)
-            .unwrap();
+        let a = by_scan.insert_scan(&scan(origin, &points)).unwrap();
         let mut by_points = OctreeF32::new(0.1).unwrap();
-        let b = by_points
-            .insert_points_parallel(origin, &points, 2)
-            .unwrap();
+        let b = by_points.insert_points(origin, &points, 2).unwrap();
         assert_eq!(a, b);
         assert_eq!(by_scan.snapshot(), by_points.snapshot());
+        assert_eq!(by_scan.counters().dda_steps, by_points.counters().dda_steps);
     }
 
     #[test]
     fn bad_origin_propagates_error() {
         let mut t = OctreeF32::new(0.1).unwrap();
-        let far = t.converter().map_half_extent() + 5.0;
-        let s = scan(Point3::new(far, 0.0, 0.0), &[Point3::ZERO]);
-        assert!(t.insert_scan(&s).is_err());
+        let far = Point3::new(t.converter().map_half_extent() + 5.0, 0.0, 0.0);
+        assert!(t.insert_scan(&scan(far, &[Point3::ZERO])).is_err());
+        // Both insert paths, inline and fanned out, report it typed.
+        for (points, shards) in [(vec![Point3::ZERO], 1), (ring(PARALLEL_MIN_POINTS), 2)] {
+            assert!(matches!(
+                t.insert_points(far, &points, shards),
+                Err(ParallelInsertError::Key(_))
+            ));
+        }
+        assert!(t.is_empty(), "nothing applied");
         // The tree is still usable afterwards.
         assert!(t
             .insert_scan(&scan(Point3::ZERO, &[Point3::new(0.5, 0.0, 0.0)]))

@@ -31,25 +31,27 @@
 //! Every operation increments [`OpCounters`]; the CPU timing models in
 //! `omu-cpumodel` convert those counts to seconds.
 //!
-//! Besides the scalar per-update path, the tree offers a **batched
-//! update engine** (`apply_update_batch`, `insert_scan_batched`):
+//! Besides the scalar per-update path (`update_key`, `insert_scan` —
+//! OctoMap's loop, the paper's CPU baseline and the test oracle), the
+//! tree offers a **batched update engine** (`apply_update_batch`):
 //! updates are Morton-sorted so the tree walk reuses the shared
 //! root-path prefix between consecutive keys, repeated updates of one
 //! voxel coalesce, and parent refresh + pruning are deferred to one
 //! bottom-up pass per touched subtree — the software analogue of the
 //! work amortization the OMU hardware gets from its PE × bank layout.
 //!
-//! On top of that sits the **subtree-sharded parallel engine**
-//! (`apply_update_batch_parallel`, `insert_scan_parallel`,
-//! `insert_points_parallel`): the arena is partitioned into one
-//! independently-ownable shard per first-level branch (like the paper's
-//! per-PE T-Mem banks), a Morton-sorted batch splits into ≤ 8 contiguous
-//! per-branch runs over disjoint subtrees, and each run is queued on the
-//! tree's persistent [`WorkerPool`] (no per-call thread spawns) before
-//! the shards reattach and the root spine is finished once —
-//! bit-identical to the scalar path, including operation counters. A
-//! worker panic surfaces as a typed [`TaskPanic`] through the `try_*`
-//! entry points, with every shard reattached first.
+//! The same walk can be **subtree-sharded** (`apply_update_batch_parallel`):
+//! the arena is partitioned into one independently-ownable shard per
+//! first-level branch (like the paper's per-PE T-Mem banks), a
+//! Morton-sorted batch splits into ≤ 8 contiguous per-branch runs over
+//! disjoint subtrees, and each run is queued on the tree's persistent
+//! [`WorkerPool`] (no per-call thread spawns) before the shards reattach
+//! and the root spine is finished once — bit-identical to the scalar
+//! path, including operation counters. `insert_points(origin, points,
+//! shards)` is the one production scan insert on top of both: its
+//! parallelism is a shard count, and a worker panic surfaces as a typed
+//! [`TaskPanic`] (inside [`ParallelInsertError`]) with every shard
+//! reattached first.
 //!
 //! # Examples
 //!
@@ -97,8 +99,6 @@ pub use query::{cast_ray_resuming, cast_ray_with, collides_sphere_with, RayCastR
 pub use query_batch::{serve_morton_coalesced, DescentCursor};
 pub use region::LeafInBoxIter;
 pub use serialize::DeserializeError;
-#[doc(hidden)]
-pub use shard::ParallelDispatch;
 pub use snapshot::{SnapLeafIter, Snapshot, SnapshotReader, SnapshotStats};
 pub use stats::{MemoryStats, TreeStats};
 pub use tree::{OccupancyOctree, OctreeF32, OctreeFixed};

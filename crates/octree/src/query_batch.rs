@@ -48,15 +48,15 @@ use crate::tree::OccupancyOctree;
 const PATH_LEN: usize = TREE_DEPTH as usize + 1;
 
 /// Minimum batch size before [`OccupancyOctree::query_batch_parallel`]
-/// spawns worker threads: below this, `thread::scope` spawn/join costs
-/// more than serving the probes sequentially (point probes are ~100 ns
-/// amortized), so the batch takes the sequential cursor sweep instead —
-/// bit-identical results either way.
+/// fans out to pool workers: below this, task dispatch and the per-chunk
+/// sort cost more than serving the probes sequentially (point probes are
+/// ~100 ns amortized), so the batch takes the sequential cursor sweep
+/// instead — bit-identical results either way.
 pub(crate) const PARALLEL_QUERY_MIN_KEYS: usize = 1024;
 
-/// Minimum ray count before [`OccupancyOctree::cast_rays`] spawns worker
-/// threads (rays are ~three orders of magnitude heavier than point
-/// probes, so the spawn cost amortizes much sooner).
+/// Minimum ray count before [`OccupancyOctree::cast_rays`] fans out to
+/// pool workers (rays are ~three orders of magnitude heavier than point
+/// probes, so the dispatch cost amortizes much sooner).
 pub(crate) const PARALLEL_CAST_MIN_RAYS: usize = 32;
 
 /// A read-only descent cursor that amortizes root-to-leaf walks across
@@ -395,42 +395,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
         scratch.results.resize(keys.len(), Occupancy::Unknown);
 
         let chunk = keys.len().div_ceil(workers);
-
-        // Legacy spawn-per-call dispatch, kept behind the doc(hidden)
-        // knob so the benches can record scoped-vs-pooled rows.
-        if self.parallel_dispatch == crate::shard::ParallelDispatch::ScopedThreads {
-            let tree = &*self;
-            let mut merged = QueryCounters::default();
-            // omu-lint: allow(thread-confinement) — the doc(hidden)
-            // `ParallelDispatch::ScopedThreads` legacy path, kept so the
-            // benches can measure scoped-vs-pooled dispatch.
-            std::thread::scope(|s| {
-                let handles: Vec<_> = keys
-                    .chunks(chunk)
-                    .zip(scratch.results.chunks_mut(chunk))
-                    .map(|(keys_chunk, out_chunk)| {
-                        s.spawn(move || {
-                            let mut order = Vec::new();
-                            let (mut c, coalesced) =
-                                serve_chunk(tree, keys_chunk, &mut order, out_chunk);
-                            c.batch_queries = keys_chunk.len() as u64;
-                            c.batch_coalesced = coalesced;
-                            c
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // omu-lint: allow(no-panic) — legacy bench-only
-                    // path; re-raising a worker panic here matches the
-                    // pooled path's `scope` contract.
-                    merged.merge(&h.join().expect("query worker panicked"));
-                }
-            });
-            self.query_counters.merge(&merged);
-            self.query_scratch = scratch;
-            return &self.query_scratch.results;
-        }
-
         let pool = self.worker_pool_handle();
         let tree = &*self;
         let nchunks = keys.len().div_ceil(chunk);
@@ -519,46 +483,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
         }
 
         let chunk = rays.len().div_ceil(workers);
-
-        // Legacy spawn-per-call dispatch (see `query_batch_parallel`).
-        if self.parallel_dispatch == crate::shard::ParallelDispatch::ScopedThreads {
-            let tree = &*self;
-            let mut merged = QueryCounters::default();
-            let mut chunks_out: Vec<Result<Vec<RayCastResult>, KeyError>> = Vec::new();
-            // omu-lint: allow(thread-confinement) — the doc(hidden)
-            // `ParallelDispatch::ScopedThreads` legacy path, kept so the
-            // benches can measure scoped-vs-pooled dispatch.
-            std::thread::scope(|s| {
-                let handles: Vec<_> = rays
-                    .chunks(chunk)
-                    .map(|rays_chunk| {
-                        s.spawn(move || {
-                            let mut cursor = DescentCursor::new(tree);
-                            let res = rays_chunk
-                                .iter()
-                                .map(|&(o, d)| cursor.cast_ray(o, d, max_range, ignore_unknown))
-                                .collect::<Result<Vec<_>, _>>();
-                            (res, cursor.into_counters())
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // omu-lint: allow(no-panic) — legacy bench-only
-                    // path; re-raising a worker panic here matches the
-                    // pooled path's `scope` contract.
-                    let (res, counters) = h.join().expect("cast_rays worker panicked");
-                    merged.merge(&counters);
-                    chunks_out.push(res);
-                }
-            });
-            self.query_counters.merge(&merged);
-            let mut out = Vec::with_capacity(rays.len());
-            for chunk_res in chunks_out {
-                out.extend(chunk_res?);
-            }
-            return Ok(out);
-        }
-
         let pool = self.worker_pool_handle();
         let tree = &*self;
         let nchunks = rays.len().div_ceil(chunk);

@@ -34,27 +34,11 @@ use crate::tree::OccupancyOctree;
 use crate::walk::WalkCtx;
 
 /// Minimum number of unique keys in a batch before the sharded apply
-/// fans out to pool workers. Queueing on the persistent pool is far
-/// cheaper than the old per-call `thread::scope` spawn (a futex wake vs
-/// a clone(2)), but below this the dispatch bookkeeping still exceeds
-/// the walk itself, so the batch runs through the sequential
-/// cached-descent walk instead (bit-identical output and counters).
+/// fans out to pool workers. Queueing on the persistent pool is cheap (a
+/// futex wake, no thread spawn), but below this the dispatch bookkeeping
+/// still exceeds the walk itself, so every branch task runs inline on
+/// the calling thread instead (bit-identical output and counters).
 pub(crate) const PARALLEL_APPLY_MIN_KEYS: usize = 1024;
-
-/// How the sharded write path runs its branch tasks.
-///
-/// Hidden from docs: `Pooled` is the production path; `ScopedThreads`
-/// preserves the pre-pool per-call `std::thread::scope` spawn purely so
-/// the benches can record an honest scoped-vs-pooled comparison.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelDispatch {
-    /// Queue branch tasks on the tree's persistent [`omu_pool::WorkerPool`].
-    #[default]
-    Pooled,
-    /// Spawn scoped threads per call (legacy; benches only).
-    ScopedThreads,
-}
 
 /// A worker's storage view: its branch shard plus the branch's depth-1
 /// node copied out of the spine row (written back after the join).
@@ -267,53 +251,12 @@ impl<V: LogOdds> OccupancyOctree<V> {
             for task in &mut tasks {
                 run_branch_task(task, scratch, mode, resolved, pruning, track_changes);
             }
-        } else if self.parallel_dispatch == ParallelDispatch::ScopedThreads {
-            // Legacy dispatch, kept for the benches' scoped-vs-pooled
-            // rows: round-robin branches over freshly spawned scoped
-            // threads; each thread owns its tasks for the scope.
-            let mut groups: Vec<Vec<BranchTask<V>>> = (0..nworkers).map(|_| Vec::new()).collect();
-            for (i, task) in tasks.drain(..).enumerate() {
-                groups[i % nworkers].push(task);
-            }
-            // omu-lint: allow(thread-confinement) — the doc(hidden)
-            // `ParallelDispatch::ScopedThreads` legacy path, kept so the
-            // benches can measure scoped-vs-pooled dispatch.
-            let finished = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|mut group| {
-                        scope.spawn(move || {
-                            for task in &mut group {
-                                run_branch_task(
-                                    task,
-                                    scratch,
-                                    mode,
-                                    resolved,
-                                    pruning,
-                                    track_changes,
-                                );
-                            }
-                            group
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // omu-lint: allow(no-panic) — legacy bench-only path;
-                    // re-raising a worker panic matches the pooled path's
-                    // documented behavior.
-                    .flat_map(|h| h.join().expect("branch worker thread"))
-                    .collect::<Vec<_>>()
-            });
-            tasks = finished;
-            tasks.sort_unstable_by_key(|t| t.branch);
         } else {
-            // Pooled dispatch: branch i's task goes to queue i % n, the
-            // same round-robin the scoped path used, but onto persistent
-            // workers — zero thread spawns per call. Workers only borrow
-            // the tasks; the Vec (and the detached shards inside) stays
-            // owned here, so reattachment below succeeds even if a task
-            // panics mid-walk.
+            // Pooled dispatch: branch i's task goes to queue i % n on
+            // persistent workers — zero thread spawns per call. Workers
+            // only borrow the tasks; the Vec (and the detached shards
+            // inside) stays owned here, so reattachment below succeeds
+            // even if a task panics mid-walk.
             let pool = self.worker_pool_handle();
             let inject = self.debug_panic_branch;
             let result = pool.try_scope(|s| {
@@ -490,7 +433,7 @@ mod tests {
                 let mut t = OctreeF32::new(0.1).unwrap();
                 t.set_pruning_enabled(pruning);
                 t.set_change_detection(true);
-                let stats = t.apply_update_batch_parallel(&u, shards);
+                let stats = t.apply_update_batch_parallel(&u, shards).unwrap();
                 assert_eq!(stats.updates, u.len() as u64);
                 assert_eq!(
                     scalar.snapshot(),
@@ -514,7 +457,7 @@ mod tests {
         let mut sequential = OctreeF32::new(0.1).unwrap();
         let s1 = sequential.apply_update_batch(&u);
         let mut sharded = OctreeF32::new(0.1).unwrap();
-        let s2 = sharded.apply_update_batch_parallel(&u, 4);
+        let s2 = sharded.apply_update_batch_parallel(&u, 4).unwrap();
         assert_eq!(s1, s2, "the sharded walk does the same deferred work");
         assert_eq!(sequential.counters(), sharded.counters());
     }
@@ -531,7 +474,7 @@ mod tests {
         let scalar = scalar_reference(&u, true);
         for shards in [1, 8] {
             let mut t = OctreeF32::new(0.1).unwrap();
-            t.apply_update_batch_parallel(&u, shards);
+            t.apply_update_batch_parallel(&u, shards).unwrap();
             assert_eq!(scalar.snapshot(), t.snapshot(), "shards={shards}");
         }
     }
@@ -561,7 +504,7 @@ mod tests {
         for u in &prime {
             scalar.update_key(u.key, u.hit);
         }
-        t.apply_update_batch_parallel(&prime, 8);
+        t.apply_update_batch_parallel(&prime, 8).unwrap();
         assert_eq!(scalar.snapshot(), t.snapshot());
 
         let follow_up = [VoxelUpdate {
@@ -571,7 +514,7 @@ mod tests {
         for u in &follow_up {
             scalar.update_key(u.key, u.hit);
         }
-        t.apply_update_batch_parallel(&follow_up, 8);
+        t.apply_update_batch_parallel(&follow_up, 8).unwrap();
         assert_eq!(scalar.snapshot(), t.snapshot());
         assert_eq!(scalar.num_nodes(), t.num_nodes());
     }
@@ -579,7 +522,7 @@ mod tests {
     #[test]
     fn empty_parallel_batch_is_a_noop() {
         let mut t = OctreeF32::new(0.1).unwrap();
-        let stats = t.apply_update_batch_parallel(&[], 4);
+        let stats = t.apply_update_batch_parallel(&[], 4).unwrap();
         assert_eq!(stats, BatchStats::default());
         assert!(t.is_empty());
     }

@@ -938,6 +938,11 @@ mod tests {
         Scan::new(origin, cloud)
     }
 
+    /// The production write path at one shard: the sequential batch walk.
+    fn insert(t: &mut OctreeF32, s: &Scan) {
+        t.insert_points(s.origin, s.cloud.points(), 1).unwrap();
+    }
+
     #[test]
     fn chunked_vec_addresses_are_stable_across_growth() {
         let mut v: ChunkedVec<u64> = ChunkedVec::new();
@@ -994,15 +999,14 @@ mod tests {
     #[test]
     fn snapshot_matches_live_tree_at_publish_and_stays_frozen() {
         let mut t = OctreeF32::new(0.1).unwrap();
-        t.insert_scan_batched(&scan(Point3::ZERO, 60, 0.0)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 60, 0.0));
         let at_publish = t.snapshot();
         let snap = t.publish_snapshot();
         assert_eq!(snap.canonical_leaves(), at_publish);
 
         // Keep writing: the pinned view must not move.
         for k in 1..4 {
-            t.insert_scan_batched(&scan(Point3::new(0.05, 0.0, 0.0), 60, k as f64))
-                .unwrap();
+            insert(&mut t, &scan(Point3::new(0.05, 0.0, 0.0), 60, k as f64));
         }
         t.debug_validate();
         assert_eq!(snap.canonical_leaves(), at_publish, "snapshot is frozen");
@@ -1072,8 +1076,7 @@ mod tests {
         type PinnedEpoch = (Snapshot<f32>, Vec<(VoxelKey, u8, f32)>);
         let mut pinned: Vec<PinnedEpoch> = Vec::new();
         for k in 0..4 {
-            t.insert_scan_batched(&scan(Point3::ZERO, 50, 0.4 * k as f64))
-                .unwrap();
+            insert(&mut t, &scan(Point3::ZERO, 50, 0.4 * k as f64));
             pinned.push((t.publish_snapshot(), t.snapshot()));
         }
         pool.scope(|s| {
@@ -1092,10 +1095,10 @@ mod tests {
     #[test]
     fn reclamation_recycles_rows_only_after_pins_drop() {
         let mut t = OctreeF32::new(0.1).unwrap();
-        t.insert_scan_batched(&scan(Point3::ZERO, 60, 0.0)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 60, 0.0));
         let snap = t.publish_snapshot();
         // Writing under a live pin copies rows instead of mutating them.
-        t.insert_scan_batched(&scan(Point3::ZERO, 60, 0.5)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 60, 0.5));
         let mid = t.snapshot_stats();
         assert!(
             mid.node_rows_copied + mid.leaf_rows_copied > 0,
@@ -1106,7 +1109,7 @@ mod tests {
 
         drop(snap);
         // The next write entry syncs pins and drains the retire queues.
-        t.insert_scan_batched(&scan(Point3::ZERO, 60, 1.0)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 60, 1.0));
         let end = t.snapshot_stats();
         assert_eq!(end.rows_awaiting_reclaim, 0, "no pins → fully reclaimed");
         assert!(end.rows_reclaimed >= mid.rows_awaiting_reclaim);
@@ -1118,8 +1121,7 @@ mod tests {
     fn unpinned_writes_pay_no_cow() {
         let mut t = OctreeF32::new(0.1).unwrap();
         for k in 0..3 {
-            t.insert_scan_batched(&scan(Point3::ZERO, 60, 0.3 * k as f64))
-                .unwrap();
+            insert(&mut t, &scan(Point3::ZERO, 60, 0.3 * k as f64));
         }
         let s = t.snapshot_stats();
         assert_eq!(s.node_rows_copied, 0);
@@ -1130,14 +1132,12 @@ mod tests {
     #[test]
     fn cloned_tree_does_not_share_pins_or_storage() {
         let mut t = OctreeF32::new(0.1).unwrap();
-        t.insert_scan_batched(&scan(Point3::ZERO, 40, 0.0)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 40, 0.0));
         let snap = t.publish_snapshot();
         let frozen = snap.canonical_leaves();
 
         let mut clone = t.clone();
-        clone
-            .insert_scan_batched(&scan(Point3::ZERO, 40, 0.7))
-            .unwrap();
+        insert(&mut clone, &scan(Point3::ZERO, 40, 0.7));
         assert_eq!(
             clone.snapshot_stats().node_rows_copied,
             0,
@@ -1166,14 +1166,14 @@ mod tests {
     #[test]
     fn snapshot_survives_clear_of_the_live_tree() {
         let mut t = OctreeF32::new(0.1).unwrap();
-        t.insert_scan_batched(&scan(Point3::ZERO, 50, 0.0)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 50, 0.0));
         let snap = t.publish_snapshot();
         let frozen = snap.canonical_leaves();
         t.clear();
         assert!(t.is_empty());
         assert_eq!(snap.canonical_leaves(), frozen);
         // And the cleared tree is fully usable again.
-        t.insert_scan_batched(&scan(Point3::ZERO, 50, 0.9)).unwrap();
+        insert(&mut t, &scan(Point3::ZERO, 50, 0.9));
         t.debug_validate();
         assert_eq!(snap.canonical_leaves(), frozen);
     }

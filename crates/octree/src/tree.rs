@@ -49,9 +49,6 @@ pub struct OccupancyOctree<V: LogOdds> {
     /// lazily on first parallel call, or injected (shared) by the map
     /// facade. Clones of the tree share the pool.
     pub(crate) worker_pool: Option<Arc<WorkerPool>>,
-    /// How the sharded write path dispatches branch tasks (pooled by
-    /// default; the legacy scoped-spawn form survives for benchmarks).
-    pub(crate) parallel_dispatch: crate::shard::ParallelDispatch,
     /// Test hook: branch whose task panics inside the pooled fan-out.
     pub(crate) debug_panic_branch: Option<usize>,
 }
@@ -107,7 +104,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
             query_scratch: QueryScratch::default(),
             changed: None,
             worker_pool: None,
-            parallel_dispatch: crate::shard::ParallelDispatch::default(),
             debug_panic_branch: None,
         })
     }
@@ -159,14 +155,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// [`WorkerPool::set_shuffle_seed`].
     pub fn set_task_shuffle_seed(&mut self, seed: Option<u64>) {
         self.worker_pool_handle().set_shuffle_seed(seed);
-    }
-
-    /// Selects the dispatch mechanism for the sharded write path. Only
-    /// the benches use the legacy scoped form, to keep an honest
-    /// scoped-vs-pooled comparison in the recorded JSONs.
-    #[doc(hidden)]
-    pub fn set_parallel_dispatch(&mut self, dispatch: crate::shard::ParallelDispatch) {
-        self.parallel_dispatch = dispatch;
     }
 
     /// Test hook: make the pooled branch task for `branch` panic, to

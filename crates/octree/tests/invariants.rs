@@ -205,7 +205,7 @@ proptest! {
                     tree.apply_update_batch(&batch);
                 }
                 _ => {
-                    tree.apply_update_batch_parallel(&batch, shards);
+                    tree.apply_update_batch_parallel(&batch, shards).unwrap();
                 }
             }
             tree.debug_validate();

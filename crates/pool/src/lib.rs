@@ -492,13 +492,18 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
     loop {
         if let Some(task) = state.tasks.pop_front() {
             drop(state);
-            // Tasks are wrapped in catch_unwind by Scope::spawn_on, so
-            // this call never unwinds through the worker loop.
-            task();
+            // Counted before the run: the task signals its scope as its
+            // last step, so a count taken after it could still be missing
+            // when the scope returns and its caller reads the stats. The
+            // scope's pending-count mutex (released by the task, acquired
+            // by the waiting caller) orders this relaxed add first.
             shared
                 .stats
                 .tasks_run_by_workers
                 .fetch_add(1, Ordering::Relaxed);
+            // Tasks are wrapped in catch_unwind by Scope::spawn_on, so
+            // this call never unwinds through the worker loop.
+            task();
             state = lock_unpoisoned(&queue.state);
         } else if state.shutdown {
             return;

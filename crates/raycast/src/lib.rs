@@ -21,13 +21,11 @@
 //!   the paper's raywise mode (no overlap dedup — what the OMU hardware
 //!   executes and what Table II counts as "voxel updates") and OctoMap's
 //!   software dedup mode.
-//! - [`ScanPipeline`] — the persistent form of that fan-out: constructed
-//!   once, it owns per-shard integrators and update buffers and integrates
-//!   straight from a borrowed `(origin, &[Point3])` with zero per-call
-//!   point-cloud copies; the front end of the octree's batched and
-//!   subtree-sharded update engines.
-//! - [`ParallelScanIntegrator`] — the stateless one-shot wrapper around a
-//!   pipeline, kept for callers that cannot hold mutable state.
+//! - [`ScanPipeline`] — the same integration fanned out over contiguous
+//!   ray shards: constructed once, it owns per-shard integrators and
+//!   update buffers and integrates straight from a borrowed
+//!   `(origin, &[Point3])` with zero per-call point-cloud copies; the
+//!   front end of the octree's subtree-sharded update engine.
 //!
 //! # Examples
 //!
@@ -48,12 +46,10 @@ mod dda;
 mod integrate;
 mod keyray;
 mod packet;
-mod parallel;
 mod pipeline;
 
 pub use dda::{compute_ray_keys, RayWalk};
 pub use integrate::{IntegrationMode, IntegrationStats, ScanIntegrator, VoxelUpdate};
 pub use keyray::KeyRay;
 pub use packet::{FrontEnd, LaneOutcome, PacketStats, RayPacket, PACKET_LANES};
-pub use parallel::ParallelScanIntegrator;
 pub use pipeline::{ScanPipeline, PARALLEL_MIN_POINTS};

@@ -1,16 +1,16 @@
 //! The persistent scan-integration pipeline: construct once, reuse for
 //! every scan.
 //!
-//! [`ParallelScanIntegrator`](crate::ParallelScanIntegrator) proved the
-//! fan-out/merge shape but paid for it per call: a fresh
-//! `Scan`/`PointCloud` copy per shard, a fresh [`ScanIntegrator`] (key-ray
-//! buffer, dedup sets) per shard, and a fresh output `Vec` per shard.
-//! `ScanPipeline` owns all of that state across calls — persistent shard
-//! integrators and reusable per-shard update buffers — and integrates
-//! straight from a borrowed `(origin, &[Point3])`, so a steady-state scan
-//! performs **zero per-call point-cloud copies** and no steady-state
-//! allocation. This is the front end the octree's parallel insertion path
-//! and the subtree-sharded batch apply are fed from.
+//! Each shard owns a contiguous slice of the scan's rays and runs a
+//! private [`ScanIntegrator`] over it, so concatenating shard outputs
+//! reproduces the sequential emission order exactly — the software
+//! mirror of the OMU paper's PE × bank parallelism. `ScanPipeline` owns
+//! all per-shard state across calls — persistent shard integrators and
+//! reusable per-shard update buffers — and integrates straight from a
+//! borrowed `(origin, &[Point3])`, so a steady-state scan performs
+//! **zero per-call point-cloud copies** and no steady-state allocation.
+//! This is the front end the octree's fanned-out insertion path and the
+//! subtree-sharded batch apply are fed from.
 //!
 //! The build environment vendors no `rayon`, so the fan-out rides the
 //! workspace's persistent [`WorkerPool`] (uniform rays make static
@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use omu_geometry::{KeyConverter, KeyError, Point3, Scan, VoxelKey};
+use omu_geometry::{KeyConverter, KeyError, Point3, VoxelKey};
 use omu_pool::WorkerPool;
 use rustc_hash::FxHashSet;
 
@@ -31,10 +31,10 @@ use crate::integrate::{IntegrationMode, IntegrationStats, ScanIntegrator, VoxelU
 use crate::packet::{FrontEnd, PacketStats};
 
 /// Minimum number of scan points before [`ScanPipeline::integrate_into`]
-/// fans out to threads: below this, thread spawn/join overhead exceeds
-/// the ray-casting work and the whole scan runs inline on one worker
-/// (mirroring the sharded batch apply's `PARALLEL_APPLY_MIN_KEYS`
-/// amortization in `omu-octree`).
+/// fans out to pool workers: below this, task dispatch and the per-shard
+/// merge cost more than the ray-casting work and the whole scan runs
+/// inline on one worker (mirroring the sharded batch apply's
+/// `PARALLEL_APPLY_MIN_KEYS` amortization in `omu-octree`).
 pub const PARALLEL_MIN_POINTS: usize = 1024;
 
 /// A persistent, shard-parallel scan integrator (see the module docs).
@@ -176,41 +176,11 @@ impl ScanPipeline {
         self.workers.len()
     }
 
-    /// Whether a scan of `n_points` points would run inline on one worker
-    /// instead of fanning out to threads (see [`PARALLEL_MIN_POINTS`]).
-    pub fn would_run_inline(&self, n_points: usize) -> bool {
-        self.workers.len() == 1 || n_points < PARALLEL_MIN_POINTS
-    }
-
-    /// Streams one scan's updates through `emit` with no buffering at
-    /// all, using the first worker — the fastest path for scans the
-    /// pipeline would run inline anyway ([`Self::would_run_inline`]).
-    /// Only valid in [`IntegrationMode::Raywise`], where the parallel
-    /// engine and the sequential integrator emit identical streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pipeline's mode is not `Raywise`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when `origin` cannot be addressed, like the
-    /// sequential integrator.
-    pub fn integrate_inline<F>(
-        &mut self,
-        origin: Point3,
-        points: &[Point3],
-        emit: F,
-    ) -> Result<IntegrationStats, KeyError>
-    where
-        F: FnMut(VoxelUpdate),
-    {
-        assert_eq!(
-            self.mode,
-            IntegrationMode::Raywise,
-            "inline streaming requires Raywise mode"
-        );
-        self.workers[0].integrate_points(origin, points, emit)
+    /// Whether a scan of `n_points` points over `shards` (resolved) shards
+    /// runs inline on one worker instead of fanning out to the pool (see
+    /// [`PARALLEL_MIN_POINTS`]).
+    pub fn would_run_inline(shards: usize, n_points: usize) -> bool {
+        shards == 1 || n_points < PARALLEL_MIN_POINTS
     }
 
     /// Integrates one scan directly from a borrowed origin and point
@@ -237,14 +207,12 @@ impl ScanPipeline {
             return Ok(IntegrationStats::default());
         }
 
-        // Below the spawn-amortization threshold the whole scan runs on
-        // one worker; in raywise mode it writes straight into `out`,
+        // Below the dispatch-amortization threshold the whole scan runs
+        // on one worker; in raywise mode it writes straight into `out`,
         // skipping the per-shard buffer and its copy entirely.
-        let inline = self.would_run_inline(points.len());
+        let inline = Self::would_run_inline(self.workers.len(), points.len());
         if inline && self.mode == IntegrationMode::Raywise {
-            return Ok(self.workers[0]
-                .integrate_points_into(origin, points, out)
-                .expect("origin validated above"));
+            return self.workers[0].integrate_points_into(origin, points, out);
         }
 
         let shards = if inline { 1 } else { self.workers.len() };
@@ -258,38 +226,32 @@ impl ScanPipeline {
             .collect();
 
         let shard_stats: Vec<IntegrationStats> = if lanes.len() == 1 {
-            // Single shard: run inline, no thread spawn.
+            // Single shard: run inline, no pool dispatch.
             lanes
                 .into_iter()
                 .map(|(worker, buffer, slice)| {
                     buffer.clear();
-                    worker
-                        .integrate_points_into(origin, slice, buffer)
-                        .expect("origin validated above")
+                    worker.integrate_points_into(origin, slice, buffer)
                 })
-                .collect()
+                .collect::<Result<_, _>>()?
         } else {
             let nlanes = lanes.len();
             let pool = Arc::clone(
                 self.pool
                     .get_or_insert_with(|| Arc::new(WorkerPool::new(nlanes))),
             );
-            let mut slots: Vec<Option<IntegrationStats>> = (0..nlanes).map(|_| None).collect();
+            type LaneSlot = Option<Result<IntegrationStats, KeyError>>;
+            let mut slots: Vec<LaneSlot> = (0..nlanes).map(|_| None).collect();
             // Lane i always lands on worker i, keeping each shard
             // integrator's scratch state warm on one thread. A task
-            // panic resumes on this thread, matching the old
-            // scoped-join semantics.
+            // panic resumes on this thread.
             pool.scope(|s| {
                 for (i, ((worker, buffer, slice), slot)) in
                     lanes.into_iter().zip(slots.iter_mut()).enumerate()
                 {
                     s.spawn_on(i, move || {
                         buffer.clear();
-                        *slot = Some(
-                            worker
-                                .integrate_points_into(origin, slice, buffer)
-                                .expect("origin validated above"),
-                        );
+                        *slot = Some(worker.integrate_points_into(origin, slice, buffer));
                     });
                 }
             });
@@ -299,7 +261,7 @@ impl ScanPipeline {
                 // only after every spawned task ran, and each task fills
                 // its slot.
                 .map(|s| s.expect("pipeline shard task completed"))
-                .collect()
+                .collect::<Result<_, _>>()?
         };
 
         let mut stats = IntegrationStats::default();
@@ -341,25 +303,11 @@ impl ScanPipeline {
         }
         Ok(stats)
     }
-
-    /// [`Self::integrate_into`] for callers that already hold a [`Scan`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::integrate_into`].
-    pub fn integrate_scan_into(
-        &mut self,
-        scan: &Scan,
-        out: &mut Vec<VoxelUpdate>,
-    ) -> Result<IntegrationStats, KeyError> {
-        self.integrate_into(scan.origin, scan.cloud.points(), out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omu_geometry::PointCloud;
 
     fn ring_points(n: usize) -> Vec<Point3> {
         (0..n)
@@ -416,48 +364,35 @@ mod tests {
 
     #[test]
     fn dedup_pipeline_matches_sequential_sets() {
-        let points = ring_points(48);
         let origin = Point3::new(0.01, 0.01, 0.01);
         let conv = KeyConverter::new(0.1).unwrap();
-
         let mut sequential = ScanIntegrator::new(conv, None, IntegrationMode::DedupPerScan);
-        let mut seq_updates = Vec::new();
-        let seq_stats = sequential
-            .integrate_points_into(origin, &points, &mut seq_updates)
-            .unwrap();
-
         let mut pipeline = ScanPipeline::new(conv, None, IntegrationMode::DedupPerScan, 4);
-        let mut updates = Vec::new();
-        let stats = pipeline
-            .integrate_into(origin, &points, &mut updates)
-            .unwrap();
 
-        // Emission order is set-dependent; compare as sorted multisets.
-        let canon = |mut v: Vec<VoxelUpdate>| {
-            v.sort_unstable_by_key(|u| (u.key, u.hit));
-            v
-        };
-        assert_eq!(canon(updates), canon(seq_updates));
-        assert_eq!(stats.free_updates, seq_stats.free_updates);
-        assert_eq!(stats.occupied_updates, seq_stats.occupied_updates);
-        assert_eq!(stats.rays, seq_stats.rays);
-        assert_eq!(stats.dda_steps, seq_stats.dda_steps);
-    }
+        // One scan on a single lane, one above PARALLEL_MIN_POINTS whose
+        // four lanes' key sets must union back into the sequential sets.
+        for n in [48, PARALLEL_MIN_POINTS + 1000] {
+            let points = ring_points(n);
+            let mut seq_updates = Vec::new();
+            let seq_stats = sequential
+                .integrate_points_into(origin, &points, &mut seq_updates)
+                .unwrap();
+            let mut updates = Vec::new();
+            let stats = pipeline
+                .integrate_into(origin, &points, &mut updates)
+                .unwrap();
 
-    #[test]
-    fn scan_form_delegates_to_borrowed_form() {
-        let conv = KeyConverter::new(0.1).unwrap();
-        let points = ring_points(16);
-        let scan = Scan::new(Point3::ZERO, points.iter().copied().collect::<PointCloud>());
-        let mut pipeline = ScanPipeline::new(conv, None, IntegrationMode::Raywise, 2);
-        let mut a = Vec::new();
-        let sa = pipeline.integrate_scan_into(&scan, &mut a).unwrap();
-        let mut b = Vec::new();
-        let sb = pipeline
-            .integrate_into(Point3::ZERO, &points, &mut b)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
+            // Emission order is set-dependent; compare as sorted multisets.
+            let canon = |mut v: Vec<VoxelUpdate>| {
+                v.sort_unstable_by_key(|u| (u.key, u.hit));
+                v
+            };
+            assert_eq!(canon(updates), canon(seq_updates), "n={n}");
+            assert_eq!(stats.free_updates, seq_stats.free_updates);
+            assert_eq!(stats.occupied_updates, seq_stats.occupied_updates);
+            assert_eq!(stats.rays, seq_stats.rays);
+            assert_eq!(stats.dda_steps, seq_stats.dda_steps);
+        }
     }
 
     #[test]
@@ -491,14 +426,11 @@ mod tests {
 
     #[test]
     fn small_scans_run_inline_below_the_parallel_threshold() {
-        let conv = KeyConverter::new(0.1).unwrap();
-        let multi = ScanPipeline::new(conv, None, IntegrationMode::Raywise, 4);
-        assert!(multi.would_run_inline(PARALLEL_MIN_POINTS - 1));
-        assert!(!multi.would_run_inline(PARALLEL_MIN_POINTS));
+        assert!(ScanPipeline::would_run_inline(4, PARALLEL_MIN_POINTS - 1));
+        assert!(!ScanPipeline::would_run_inline(4, PARALLEL_MIN_POINTS));
         // A single-shard pipeline never pays the fan-out overhead.
-        let single = ScanPipeline::new(conv, None, IntegrationMode::Raywise, 1);
-        assert!(single.would_run_inline(PARALLEL_MIN_POINTS));
-        assert!(single.would_run_inline(usize::MAX));
+        assert!(ScanPipeline::would_run_inline(1, PARALLEL_MIN_POINTS));
+        assert!(ScanPipeline::would_run_inline(1, usize::MAX));
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Build the same map on both backends through one builder.
     let builder = || MapBuilder::new(spec.resolution).max_range(Some(spec.max_range));
-    let mut tree = builder().engine(Engine::Parallel).build()?;
+    let mut tree = builder().engine(Engine::Sharded { shards: 8 }).build()?;
     let mut omu = builder()
         .backend(Backend::Accelerator(OmuConfig::default()))
         .build()?;

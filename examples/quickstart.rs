@@ -12,9 +12,9 @@ use omu::map::{Backend, Engine, MapBuilder};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One map API over every engine and backend. Here: the paper's
     // design point (8 PEs × 8 × 32 kB banks, 1 GHz) behind the facade,
-    // fed by Morton-batched updates.
+    // fed by the 8-PE sharded update schedule.
     let mut map = MapBuilder::new(0.2)
-        .engine(Engine::Batched)
+        .engine(Engine::Sharded { shards: 8 })
         .backend(Backend::Accelerator(OmuConfig::default()))
         .build()?;
 

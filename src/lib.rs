@@ -19,9 +19,9 @@
 //!
 //! # fn main() -> Result<(), omu::map::MapError> {
 //! // The paper's design point: the OMU accelerator model behind the
-//! // unified map API, fed by Morton-batched updates.
+//! // unified map API, fed by the 8-PE sharded update schedule.
 //! let mut map = MapBuilder::new(0.2)
-//!     .engine(Engine::Batched)
+//!     .engine(Engine::Sharded { shards: 8 })
 //!     .backend(Backend::Accelerator(OmuConfig::default()))
 //!     .build()?;
 //! let scan = Scan::new(

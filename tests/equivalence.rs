@@ -146,8 +146,9 @@ fn random_scans(seed: u64, scans: usize, points: usize) -> Vec<Scan> {
         .collect()
 }
 
-/// Inserts `scans` three ways — scalar per-update path, Morton-batched
-/// path, parallel-sharded batched path — and demands bit-identical trees.
+/// Inserts `scans` three ways — scalar per-update path, batched insert at
+/// one shard, batched insert at three shards — and demands bit-identical
+/// trees.
 fn assert_batch_equivalence<V: omu::geometry::LogOdds>(
     scans: &[Scan],
     pruning: bool,
@@ -167,8 +168,12 @@ fn assert_batch_equivalence<V: omu::geometry::LogOdds>(
     let mut parallel = make();
     for scan in scans {
         let a = scalar.insert_scan(scan).unwrap();
-        let b = batched.insert_scan_batched(scan).unwrap();
-        let c = parallel.insert_scan_parallel(scan, 3).unwrap();
+        let b = batched
+            .insert_points(scan.origin, scan.cloud.points(), 1)
+            .unwrap();
+        let c = parallel
+            .insert_points(scan.origin, scan.cloud.points(), 3)
+            .unwrap();
         assert_eq!(a.total_updates(), b.total_updates());
         assert_eq!(a.total_updates(), c.total_updates());
     }
@@ -218,10 +223,10 @@ proptest! {
     }
 }
 
-/// Inserts `scans` through the scalar per-update path and through the
-/// subtree-sharded end-to-end pipeline (`ScanPipeline` front end +
-/// `apply_update_batch_parallel`) at a given shard count, and demands
-/// bit-identical trees.
+/// Inserts `scans` through the scalar per-update path and through
+/// `insert_points` at a given shard count (scans of at least
+/// `PARALLEL_MIN_POINTS` points take the `ScanPipeline` front end +
+/// `apply_update_batch_parallel`), and demands bit-identical trees.
 fn assert_sharded_equivalence<V: omu::geometry::LogOdds>(
     scans: &[Scan],
     pruning: bool,
@@ -241,7 +246,9 @@ fn assert_sharded_equivalence<V: omu::geometry::LogOdds>(
     let mut sharded = make();
     for scan in scans {
         let a = scalar.insert_scan(scan).unwrap();
-        let b = sharded.insert_scan_parallel(scan, shards).unwrap();
+        let b = sharded
+            .insert_points(scan.origin, scan.cloud.points(), shards)
+            .unwrap();
         assert_eq!(a.total_updates(), b.total_updates());
     }
     assert_eq!(
@@ -291,8 +298,9 @@ proptest! {
 fn sharded_parallel_spawns_threads_above_the_amortization_threshold() {
     // Small batches take the inline fast path; this one is large enough
     // (> 1024 unique keys across several branches) that the sharded
-    // engine really spawns `thread::scope` workers — keeping actual
-    // multi-threaded execution covered by the bit-identity suite.
+    // engine really dispatches its branch tasks to pool workers —
+    // keeping actual multi-threaded execution covered by the
+    // bit-identity suite.
     use omu::raycast::VoxelUpdate;
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let updates: Vec<VoxelUpdate> = (0..6000)
@@ -312,7 +320,7 @@ fn sharded_parallel_spawns_threads_above_the_amortization_threshold() {
     for shards in [2, 4, 8] {
         let mut t = OctreeF32::new(0.1).unwrap();
         t.set_change_detection(true);
-        t.apply_update_batch_parallel(&updates, shards);
+        t.apply_update_batch_parallel(&updates, shards).unwrap();
         assert_eq!(sequential.snapshot(), t.snapshot(), "shards={shards}");
         assert_eq!(sequential.counters(), t.counters(), "shards={shards}");
         let canon = |t: &OctreeF32| {
@@ -416,6 +424,17 @@ fn sharded_parallel_handles_branch_straddling_batches() {
                 0.1,
             );
         }
+    }
+}
+
+#[test]
+fn sharded_dedup_unions_lanes_above_the_fan_out_threshold() {
+    // Every other dedup case runs on one pipeline lane (fewer than
+    // `PARALLEL_MIN_POINTS` points); 3000 points fan out, so the per-lane
+    // key sets must union into the scan-global sets of the scalar path.
+    let scans = random_scans(0xD3D0, 2, 3000);
+    for shards in [2, 8] {
+        assert_sharded_equivalence::<f32>(&scans, true, IntegrationMode::DedupPerScan, shards, 0.1);
     }
 }
 

@@ -86,11 +86,11 @@ fn every_engine_is_bit_identical_on_every_backend() {
                 assert!(updates.windows(2).all(|w| w[0] == w[1]), "{updates:?}");
             }
             _ => {
-                // The batch-family engines (batched / parallel / sharded)
-                // share one tree-maintenance schedule: identical
-                // OpCounters bit for bit. The scalar engine does the same
-                // ray casting but eager per-update maintenance, so only
-                // dda_steps is comparable across the scalar/batched line.
+                // Every shard count shares one tree-maintenance schedule:
+                // identical OpCounters bit for bit. The scalar engine does
+                // the same ray casting but eager per-update maintenance,
+                // so only dda_steps is comparable across the
+                // scalar/batched line.
                 let batched = maps[1].counters().unwrap();
                 for m in &mut maps[2..] {
                     assert_eq!(
@@ -133,7 +133,7 @@ fn software_fixed_and_accelerator_agree_for_every_engine() {
 #[test]
 fn engine_can_change_between_scans() {
     let scans = random_scans(99, 4, 30);
-    let mut fixed = build(Backend::Software, Engine::Batched);
+    let mut fixed = build(Backend::Software, Engine::default());
     let mut rotating = build(Backend::Software, Engine::Scalar);
     for (i, scan) in scans.iter().enumerate() {
         rotating
@@ -153,7 +153,7 @@ fn out_of_bounds_is_uniformly_typed() {
         Backend::Software,
         Backend::Accelerator(OmuConfig::default()),
     ] {
-        let mut map = build(backend, Engine::Batched);
+        let mut map = build(backend, Engine::default());
         let far = map.converter().map_half_extent() + 10.0;
         let p = Point3::new(far, 0.0, 0.0);
         assert!(matches!(map.occupancy_at(p), Err(MapError::OutOfBounds(_))));
@@ -174,7 +174,7 @@ fn out_of_bounds_is_uniformly_typed() {
 #[test]
 fn capacity_error_is_typed() {
     let config = OmuConfig::builder().rows_per_bank(16).build().unwrap();
-    let mut map = build(Backend::Accelerator(config), Engine::Batched);
+    let mut map = build(Backend::Accelerator(config), Engine::default());
     let scan = Scan::new(
         Point3::ZERO,
         (0..64)

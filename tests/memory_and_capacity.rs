@@ -72,7 +72,8 @@ fn bytes_per_node_stays_under_recorded_ceiling() {
     tree.set_integration_mode(IntegrationMode::Raywise);
     tree.set_max_range(Some(spec.max_range));
     for scan in dataset.scans() {
-        tree.insert_scan_batched(&scan).unwrap();
+        tree.insert_points(scan.origin, scan.cloud.points(), 1)
+            .unwrap();
     }
     let mem = tree.memory_stats();
     assert!(mem.live_nodes > 10_000, "non-trivial map");

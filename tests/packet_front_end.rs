@@ -173,32 +173,34 @@ fn software_engines_are_bit_identical_across_front_ends() {
         let mut rng = StdRng::seed_from_u64(4242);
         (0..12).map(|_| random_scan(&mut rng, 48)).collect()
     };
-    let build = |front_end: FrontEnd, engine: &str| {
+    // `None` is the scalar oracle, `Some(n)` the batched insert at n
+    // shards.
+    let build = |front_end: FrontEnd, engine: Option<usize>| {
         let mut tree = OctreeF32::new(0.1).unwrap();
         tree.set_max_range(Some(5.0));
         tree.set_front_end(front_end);
         for scan in &scans {
             match engine {
-                "scalar" => tree.insert_scan(scan).unwrap(),
-                "batched" => tree.insert_scan_batched(scan).unwrap(),
-                "parallel" => tree.insert_scan_parallel(scan, 4).unwrap(),
-                _ => unreachable!(),
+                None => tree.insert_scan(scan).unwrap(),
+                Some(shards) => tree
+                    .insert_points(scan.origin, scan.cloud.points(), shards)
+                    .unwrap(),
             };
         }
         tree
     };
-    for engine in ["scalar", "batched", "parallel"] {
+    for engine in [None, Some(1), Some(4)] {
         let scalar_fe = build(FrontEnd::Scalar, engine);
         let packet_fe = build(FrontEnd::Packet, engine);
         assert_eq!(
             scalar_fe.snapshot(),
             packet_fe.snapshot(),
-            "{engine} engine maps diverged across front ends"
+            "{engine:?} engine maps diverged across front ends"
         );
         assert_eq!(
             scalar_fe.counters(),
             packet_fe.counters(),
-            "{engine} engine op counters diverged across front ends"
+            "{engine:?} engine op counters diverged across front ends"
         );
     }
 }

@@ -80,7 +80,7 @@ fn batched_writes_stay_bit_identical_under_shuffle() {
     let scans = random_scans(0xBEE, 4, 3000);
     let reference = build_map(Engine::Scalar, &scans, None).snapshot();
     for seed in [7u64, 0x5EED] {
-        let shuffled = build_map(Engine::Batched, &scans, Some(seed));
+        let shuffled = build_map(Engine::default(), &scans, Some(seed));
         assert_eq!(
             shuffled.snapshot(),
             reference,

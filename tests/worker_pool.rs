@@ -143,7 +143,7 @@ fn parallel_engine_paths_reuse_one_pool_with_zero_per_call_spawns() {
         map.insert(&big_scan(seed)).unwrap();
     }
     // Engine switches reuse the same pool: nothing respawns.
-    map.set_engine(Engine::Parallel).unwrap();
+    map.set_engine(Engine::Sharded { shards: 4 }).unwrap();
     map.insert(&big_scan(99)).unwrap();
 
     let after = map.pool_stats().unwrap();
@@ -253,7 +253,7 @@ fn worker_panic_leaves_the_tree_debug_validate_clean() {
 
     tree.debug_inject_worker_panic(Some(3));
     let p = tree
-        .try_apply_update_batch_parallel(&big_batch(12), 8)
+        .apply_update_batch_parallel(&big_batch(12), 8)
         .expect_err("injected panic propagates as TaskPanic");
     assert!(p.first_message().contains("injected worker panic"));
 
@@ -261,8 +261,7 @@ fn worker_panic_leaves_the_tree_debug_validate_clean() {
     // structural audit and keeps working.
     tree.debug_validate();
     tree.debug_inject_worker_panic(None);
-    tree.try_apply_update_batch_parallel(&big_batch(13), 8)
-        .unwrap();
+    tree.apply_update_batch_parallel(&big_batch(13), 8).unwrap();
     tree.debug_validate();
 }
 
