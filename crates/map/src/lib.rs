@@ -16,9 +16,12 @@
 //!   change detection.
 //! - [`OccupancyMap`] unifies ingestion ([`OccupancyMap::insert`], the
 //!   borrow-based [`OccupancyMap::insert_points`] integrating a point
-//!   slice in place), queries behind one [`QueryView`] (occupancy,
-//!   ray casting, sphere collision probes, region iteration),
-//!   change-set draining and persistence.
+//!   slice in place), one query surface on the map itself (occupancy,
+//!   batched classification, ray casting, sphere collision probes,
+//!   region iteration), change-set draining and persistence. A
+//!   published [`MapSnapshot`] answers the same queries off the octree's
+//!   one read path, so a snapshot and the live map share the cursor,
+//!   the leaf walk and the encoder.
 //! - [`MapBackend`] is the trait both
 //!   [`OccupancyOctree`](omu_octree::OccupancyOctree) and
 //!   [`OmuAccelerator`](omu_core::OmuAccelerator) implement, so engine
@@ -71,7 +74,7 @@ pub use durable::{
 };
 pub use engine::{Engine, ParseEngineError, MAX_SHARDS};
 pub use error::MapError;
-pub use map::{OccupancyMap, QueryView};
+pub use map::OccupancyMap;
 pub use omu_raycast::FrontEnd;
 pub use service::{
     ChangeSubscription, MapService, MapSnapshot, RecoveryReport, ServiceHealth, ServiceStats,

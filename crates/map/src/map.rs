@@ -1,4 +1,4 @@
-//! The unified map type and its query view.
+//! The unified map type.
 
 use std::path::Path;
 
@@ -29,10 +29,13 @@ pub(crate) enum Inner {
 /// engine.
 ///
 /// Construct through [`MapBuilder`]; all knobs are resolved up front.
-/// Ingestion goes through [`Self::insert`] / [`Self::insert_points`],
-/// queries through [`Self::query`] (or the direct convenience methods),
-/// persistence through [`Self::save_to_file`] /
-/// [`Self::load_from_file`].
+/// Ingestion goes through [`Self::insert`] / [`Self::insert_points`];
+/// the query methods — point and key occupancy, batched classification,
+/// query-ray casting, sphere collision probes and region iteration —
+/// have identical semantics on every backend; persistence goes through
+/// [`Self::save_to_file`] / [`Self::load_from_file`]. Queries take
+/// `&mut self` where the accelerator backend accounts voxel-query-unit
+/// cycles or the software backend accumulates [`QueryCounters`].
 ///
 /// # Examples
 ///
@@ -168,19 +171,9 @@ impl OccupancyMap {
         self.engine.shards()
     }
 
-    /// Borrows the map as a [`QueryView`] — the query surface shared by
-    /// both backends.
-    pub fn query(&mut self) -> QueryView<'_> {
-        let shards = self.read_shards();
-        QueryView {
-            backend: self.backend_mut(),
-            shards,
-        }
-    }
-
     /// Occupancy classification of the voxel at `key`.
     pub fn occupancy(&mut self, key: VoxelKey) -> Occupancy {
-        self.query().occupancy(key)
+        self.backend_mut().occupancy(key)
     }
 
     /// Occupancy classification of the voxel containing `point`.
@@ -190,7 +183,8 @@ impl OccupancyMap {
     /// [`MapError::OutOfBounds`] when the point is outside the
     /// addressable map.
     pub fn occupancy_at(&mut self, point: Point3) -> Result<Occupancy, MapError> {
-        self.query().occupancy_at(point)
+        let key = self.converter().coord_to_key(point)?;
+        Ok(self.occupancy(key))
     }
 
     /// The stored log-odds covering `key` as `f32`, if observed.
@@ -198,12 +192,41 @@ impl OccupancyMap {
         self.backend().peek_logodds(key)
     }
 
-    /// Casts a query ray (see [`QueryView::cast_ray`]).
+    /// Casts a query ray from `origin` along `direction`, returning the
+    /// first occupied voxel within `max_range` metres. With
+    /// `ignore_unknown = true`, unobserved voxels are treated as free
+    /// (OctoMap `castRay` semantics); otherwise the cast stops at the
+    /// first unknown voxel.
+    ///
+    /// Rides the backend's cached-descent path: consecutive DDA steps
+    /// re-descend only below the deepest common ancestor of adjacent
+    /// voxels, with results bit-identical to probing every step
+    /// individually.
     ///
     /// # Errors
     ///
     /// [`MapError::OutOfBounds`] when the origin is outside the map or
     /// the direction is degenerate.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use omu_map::MapBuilder;
+    /// use omu_geometry::{Point3, PointCloud, Scan};
+    /// use omu_octree::RayCastResult;
+    ///
+    /// # fn main() -> Result<(), omu_map::MapError> {
+    /// let mut map = MapBuilder::new(0.1).build()?;
+    /// map.insert(&Scan::new(
+    ///     Point3::ZERO,
+    ///     [Point3::new(1.0, 0.0, 0.0)].into_iter().collect::<PointCloud>(),
+    /// ))?;
+    /// let hit = map.cast_ray(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 5.0, true)?;
+    /// assert!(matches!(hit, RayCastResult::Hit { .. }));
+    /// assert!(!map.collides_sphere(Point3::new(0.3, 0.0, 0.0), 0.1)?);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn cast_ray(
         &mut self,
         origin: Point3,
@@ -211,60 +234,91 @@ impl OccupancyMap {
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<RayCastResult, MapError> {
-        self.query()
+        self.backend_mut()
             .cast_ray(origin, direction, max_range, ignore_unknown)
     }
 
-    /// Casts a batch of query rays (see [`QueryView::cast_rays`]).
+    /// Casts a batch of query rays (`(origin, direction)` pairs), each
+    /// through a cached-descent cursor, returning results in input
+    /// order. Under a multi-shard engine the software backend chunks the
+    /// batch across its worker shards (`&self` queries are
+    /// embarrassingly parallel); results are bit-identical to casting
+    /// each ray through [`Self::cast_ray`].
     ///
     /// # Errors
     ///
-    /// The first [`MapError::OutOfBounds`] in input order.
+    /// The first [`MapError::OutOfBounds`] (in input order) for a bad
+    /// origin or degenerate direction.
     pub fn cast_rays(
         &mut self,
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<Vec<RayCastResult>, MapError> {
-        self.query().cast_rays(rays, max_range, ignore_unknown)
+        let shards = self.read_shards();
+        self.backend_mut()
+            .cast_rays(rays, max_range, ignore_unknown, shards)
     }
 
-    /// Classifies a batch of points (see [`QueryView::occupancy_batch`]).
+    /// Classifies a batch of points, returning occupancies in input
+    /// order through the backend's batched query engine — the software
+    /// tree Morton-sorts the batch for one cached-descent sweep (chunked
+    /// across the engine's worker shards under a multi-shard engine);
+    /// the accelerator serves it through the voxel query unit's register
+    /// file. Bit-identical to calling [`Self::occupancy_at`] per point.
     ///
     /// # Errors
     ///
-    /// [`MapError::OutOfBounds`] when any point is outside the map.
+    /// [`MapError::OutOfBounds`] when any point is outside the
+    /// addressable map (detected before any classification runs).
     pub fn occupancy_batch(&mut self, points: &[Point3]) -> Result<Vec<Occupancy>, MapError> {
-        self.query().occupancy_batch(points)
+        let conv = *self.converter();
+        let keys = points
+            .iter()
+            .map(|&p| conv.coord_to_key(p))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.occupancy_batch_keys(&keys))
     }
 
-    /// Sphere collision probe (see [`QueryView::collides_sphere`]).
+    /// [`Self::occupancy_batch`] by voxel key (keys are always
+    /// addressable, so this form is infallible).
+    pub fn occupancy_batch_keys(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy> {
+        let shards = self.read_shards();
+        self.backend_mut().occupancy_batch(keys, shards)
+    }
+
+    /// Collision probe: does a sphere of radius `radius` at `center`
+    /// intersect any occupied voxel? Conservatively samples the voxel
+    /// grid inside the sphere's bounding cube (the motion-planning query
+    /// of the paper's Fig. 1); the grid sweep rides the cached-descent
+    /// path, since adjacent voxels share long root-path prefixes.
     ///
     /// # Errors
     ///
-    /// [`MapError::OutOfBounds`] when the probe region leaves the map.
+    /// [`MapError::OutOfBounds`] when the probe region leaves the
+    /// addressable map.
     pub fn collides_sphere(&mut self, center: Point3, radius: f64) -> Result<bool, MapError> {
-        self.query().collides_sphere(center, radius)
+        self.backend_mut().collides_sphere(center, radius)
     }
 
-    /// The leaves intersecting the key box `[min, max]` (see
-    /// [`QueryView::leaves_in_box`]).
-    pub fn leaves_in_box(&mut self, min: VoxelKey, max: VoxelKey) -> Vec<LeafInfo> {
-        self.query().leaves_in_box(min, max)
+    /// The leaves (finest voxels and pruned regions) whose extents
+    /// intersect the key box `[min, max]`, inclusive per axis.
+    pub fn leaves_in_box(&self, min: VoxelKey, max: VoxelKey) -> Vec<LeafInfo> {
+        self.backend().leaves_in_box(min, max)
     }
 
-    /// The leaves intersecting the metric box `[min, max]` (see
-    /// [`QueryView::leaves_in_region`]).
+    /// The leaves whose extents intersect the metric box spanned by
+    /// `min` and `max` (in metres).
     ///
     /// # Errors
     ///
-    /// [`MapError::OutOfBounds`] when a corner leaves the map.
-    pub fn leaves_in_region(
-        &mut self,
-        min: Point3,
-        max: Point3,
-    ) -> Result<Vec<LeafInfo>, MapError> {
-        self.query().leaves_in_region(min, max)
+    /// [`MapError::OutOfBounds`] when a corner leaves the addressable
+    /// map.
+    pub fn leaves_in_region(&self, min: Point3, max: Point3) -> Result<Vec<LeafInfo>, MapError> {
+        let conv = self.converter();
+        let lo = conv.coord_to_key(min)?;
+        let hi = conv.coord_to_key(max)?;
+        Ok(self.leaves_in_box(lo, hi))
     }
 
     /// The canonical sorted map snapshot `(key, depth, logodds)` — the
@@ -479,175 +533,6 @@ impl OccupancyMap {
             Inner::Accelerator(a) => Some(a),
             _ => None,
         }
-    }
-}
-
-/// The unified query surface over a borrowed map backend: point and key
-/// occupancy, query-ray casting, sphere collision probes and region
-/// iteration, identical semantics on both backends.
-///
-/// Obtained from [`OccupancyMap::query`]. Queries take `&mut self`
-/// because the accelerator backend accounts voxel-query-unit cycles.
-///
-/// # Examples
-///
-/// ```
-/// use omu_map::MapBuilder;
-/// use omu_geometry::{Point3, PointCloud, Scan};
-/// use omu_octree::RayCastResult;
-///
-/// # fn main() -> Result<(), omu_map::MapError> {
-/// let mut map = MapBuilder::new(0.1).build()?;
-/// map.insert(&Scan::new(
-///     Point3::ZERO,
-///     [Point3::new(1.0, 0.0, 0.0)].into_iter().collect::<PointCloud>(),
-/// ))?;
-/// let mut q = map.query();
-/// let hit = q.cast_ray(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 5.0, true)?;
-/// assert!(matches!(hit, RayCastResult::Hit { .. }));
-/// assert!(!q.collides_sphere(Point3::new(0.3, 0.0, 0.0), 0.1)?);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct QueryView<'a> {
-    backend: &'a mut dyn MapBackend,
-    /// Worker threads for batched reads, inherited from the map's
-    /// engine (`0` = one per CPU).
-    shards: usize,
-}
-
-impl QueryView<'_> {
-    /// Occupancy classification of the voxel at `key`.
-    pub fn occupancy(&mut self, key: VoxelKey) -> Occupancy {
-        self.backend.occupancy(key)
-    }
-
-    /// Occupancy classification of the voxel containing `point`.
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::OutOfBounds`] when the point is outside the
-    /// addressable map.
-    pub fn occupancy_at(&mut self, point: Point3) -> Result<Occupancy, MapError> {
-        let key = self.backend.converter().coord_to_key(point)?;
-        Ok(self.backend.occupancy(key))
-    }
-
-    /// The stored log-odds covering `key` as `f32`, if observed.
-    pub fn logodds(&self, key: VoxelKey) -> Option<f32> {
-        self.backend.peek_logodds(key)
-    }
-
-    /// Classifies a batch of points, returning occupancies in input
-    /// order through the backend's batched query engine — the software
-    /// tree Morton-sorts the batch for one cached-descent sweep (chunked
-    /// across the engine's worker shards under a multi-shard engine);
-    /// the accelerator serves it through the voxel query unit's register
-    /// file. Bit-identical to calling [`Self::occupancy_at`] per point.
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::OutOfBounds`] when any point is outside the
-    /// addressable map (detected before any classification runs).
-    pub fn occupancy_batch(&mut self, points: &[Point3]) -> Result<Vec<Occupancy>, MapError> {
-        let conv = *self.backend.converter();
-        let keys = points
-            .iter()
-            .map(|&p| conv.coord_to_key(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.backend.occupancy_batch(&keys, self.shards))
-    }
-
-    /// [`Self::occupancy_batch`] by voxel key (keys are always
-    /// addressable, so this form is infallible).
-    pub fn occupancy_batch_keys(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy> {
-        self.backend.occupancy_batch(keys, self.shards)
-    }
-
-    /// Casts a query ray from `origin` along `direction`, returning the
-    /// first occupied voxel within `max_range` metres. With
-    /// `ignore_unknown = true`, unobserved voxels are treated as free
-    /// (OctoMap `castRay` semantics); otherwise the cast stops at the
-    /// first unknown voxel.
-    ///
-    /// Rides the backend's cached-descent path: consecutive DDA steps
-    /// re-descend only below the deepest common ancestor of adjacent
-    /// voxels, with results bit-identical to probing every step
-    /// individually.
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::OutOfBounds`] when the origin is outside the map or
-    /// the direction is degenerate.
-    pub fn cast_ray(
-        &mut self,
-        origin: Point3,
-        direction: Point3,
-        max_range: f64,
-        ignore_unknown: bool,
-    ) -> Result<RayCastResult, MapError> {
-        self.backend
-            .cast_ray(origin, direction, max_range, ignore_unknown)
-    }
-
-    /// Casts a batch of query rays (`(origin, direction)` pairs), each
-    /// through a cached-descent cursor, returning results in input
-    /// order. Under a multi-shard engine the software backend chunks the
-    /// batch across its worker shards (`&self` queries are
-    /// embarrassingly parallel); results are bit-identical to casting
-    /// each ray through [`Self::cast_ray`].
-    ///
-    /// # Errors
-    ///
-    /// The first [`MapError::OutOfBounds`] (in input order) for a bad
-    /// origin or degenerate direction.
-    pub fn cast_rays(
-        &mut self,
-        rays: &[(Point3, Point3)],
-        max_range: f64,
-        ignore_unknown: bool,
-    ) -> Result<Vec<RayCastResult>, MapError> {
-        self.backend
-            .cast_rays(rays, max_range, ignore_unknown, self.shards)
-    }
-
-    /// Collision probe: does a sphere of radius `radius` at `center`
-    /// intersect any occupied voxel? Conservatively samples the voxel
-    /// grid inside the sphere's bounding cube (the motion-planning query
-    /// of the paper's Fig. 1); the grid sweep rides the cached-descent
-    /// path, since adjacent voxels share long root-path prefixes.
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::OutOfBounds`] when the probe region leaves the
-    /// addressable map.
-    pub fn collides_sphere(&mut self, center: Point3, radius: f64) -> Result<bool, MapError> {
-        self.backend.collides_sphere(center, radius)
-    }
-
-    /// The leaves (finest voxels and pruned regions) whose extents
-    /// intersect the key box `[min, max]`, inclusive per axis.
-    pub fn leaves_in_box(&mut self, min: VoxelKey, max: VoxelKey) -> Vec<LeafInfo> {
-        self.backend.leaves_in_box(min, max)
-    }
-
-    /// The leaves whose extents intersect the metric box spanned by
-    /// `min` and `max` (in metres).
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::OutOfBounds`] when a corner leaves the addressable
-    /// map.
-    pub fn leaves_in_region(
-        &mut self,
-        min: Point3,
-        max: Point3,
-    ) -> Result<Vec<LeafInfo>, MapError> {
-        let conv = *self.backend.converter();
-        let lo = conv.coord_to_key(min)?;
-        let hi = conv.coord_to_key(max)?;
-        Ok(self.backend.leaves_in_box(lo, hi))
     }
 }
 

@@ -166,7 +166,7 @@ impl MapSnapshot {
     }
 
     /// Casts a query ray (OctoMap `castRay` semantics, identical to
-    /// [`crate::QueryView::cast_ray`] on the live map).
+    /// [`OccupancyMap::cast_ray`] on the live map).
     ///
     /// # Errors
     ///
@@ -183,21 +183,20 @@ impl MapSnapshot {
     }
 
     /// Casts a batch of query rays through one cached-descent reader,
-    /// returning results in input order.
+    /// returning results in input order (the contract of
+    /// [`OccupancyMap::cast_rays`]).
     ///
     /// # Errors
     ///
-    /// The first [`MapError::OutOfBounds`] in input order.
+    /// The first [`MapError::OutOfBounds`] in input order; no ray after
+    /// it is cast.
     pub fn cast_rays(
         &self,
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<Vec<RayCastResult>, MapError> {
-        with_snap!(self, s => s.cast_rays(rays, max_range, ignore_unknown))
-            .into_iter()
-            .map(|r| r.map_err(MapError::from))
-            .collect()
+        Ok(with_snap!(self, s => s.cast_rays(rays, max_range, ignore_unknown))?)
     }
 
     /// Sphere collision probe (the motion-planning query of the paper's

@@ -62,7 +62,7 @@
 use std::collections::VecDeque;
 
 use crate::node::{LeafRow, Node, NodeRow, MAX_ROW, NIL};
-use crate::snapshot::{ChunkedVec, PinGuard, PinHandle, PinRegistry, SnapTable, NO_PINS};
+use crate::snapshot::{ChunkedVec, PinGuard, PinHandle, PinRegistry, Rows, NO_PINS};
 use crate::SnapshotStats;
 
 /// Bits of a node handle reserved for the shard id.
@@ -77,6 +77,8 @@ const ROW_MASK: u32 = (1 << ROW_BITS) - 1;
 pub(crate) const NUM_BRANCHES: usize = 8;
 /// Shard id of the spine (holds the root node and the root's children).
 pub(crate) const SPINE_SHARD: usize = NUM_BRANCHES;
+/// Shards per tree: the branch shards plus the spine.
+pub(crate) const NUM_SHARDS: usize = SPINE_SHARD + 1;
 /// Spine row holding the root node (slot 0); the root's children row is
 /// whatever the spine allocates next.
 const ROOT_ROW: u32 = 0;
@@ -133,9 +135,7 @@ pub(crate) trait NodeStore<V: Copy> {
     fn node(&self, h: u32) -> &Node<V>;
     /// Mutable node access.
     fn node_mut(&mut self, h: u32) -> &mut Node<V>;
-    /// Reads a depth-16 voxel value (leaf-row handles).
-    fn leaf_value(&self, h: u32) -> V;
-    /// Mutable depth-16 voxel access.
+    /// Mutable depth-16 voxel access (leaf-row handles).
     fn leaf_value_mut(&mut self, h: u32) -> &mut V;
     /// The shard that holds (or will hold) the children row of `parent`.
     fn child_shard(&self, parent: u32) -> usize;
@@ -305,12 +305,6 @@ impl<V: Copy> ArenaShard<V> {
     }
 
     #[inline]
-    pub fn leaf_value(&self, h: u32) -> V {
-        let (row, oct) = self.own(h);
-        self.leaf_rows.get(row)[oct]
-    }
-
-    #[inline]
     pub fn leaf_value_mut(&mut self, h: u32) -> &mut V {
         let (row, oct) = self.own(h);
         self.debug_check_leaf_row_writable(row);
@@ -470,10 +464,27 @@ impl<V: Copy> ArenaShard<V> {
         }
     }
 
-    /// Shares the shard's chunk tables for a snapshot (cheap `Arc`
-    /// clones).
-    pub fn share_tables(&self) -> (SnapTable<NodeRow<V>>, SnapTable<LeafRow<V>>) {
-        (self.rows.share(), self.leaf_rows.share())
+    /// The read-only copy a snapshot keeps: it shares this shard's chunk
+    /// tables (one `Arc` clone per chunk, no row copied) and carries none
+    /// of the allocation bookkeeping, which only the writer uses.
+    pub fn share(&self) -> Self {
+        ArenaShard {
+            rows: self.rows.share(),
+            leaf_rows: self.leaf_rows.share(),
+            ..ArenaShard::new(self.id)
+        }
+    }
+
+    /// Lends the node rows to a reader for the borrow's lifetime.
+    #[inline]
+    pub fn node_table(&self) -> Rows<'_, NodeRow<V>> {
+        self.rows.rows()
+    }
+
+    /// Lends the leaf rows to a reader for the borrow's lifetime.
+    #[inline]
+    pub fn leaf_table(&self) -> Rows<'_, LeafRow<V>> {
+        self.leaf_rows.rows()
     }
 
     /// Live sibling rows `(node rows, leaf rows)` — allocated minus
@@ -518,7 +529,7 @@ impl<V: Copy> ArenaShard<V> {
 /// the root spine, with the tree-wide epoch/pin state for snapshots.
 #[derive(Debug)]
 pub(crate) struct Arena<V> {
-    shards: Vec<ArenaShard<V>>,
+    shards: [ArenaShard<V>; NUM_SHARDS],
     /// Pin registry shared with every snapshot of this tree.
     pins: PinHandle,
     /// Last pin summary applied to the shards (change detector).
@@ -531,7 +542,7 @@ pub(crate) struct Arena<V> {
 impl<V: Copy> Arena<V> {
     pub fn new() -> Self {
         Arena {
-            shards: (0..=SPINE_SHARD).map(ArenaShard::new).collect(),
+            shards: std::array::from_fn(ArenaShard::new),
             pins: PinHandle::fresh(),
             pin_cache: u64::MAX,
             epoch: 0,
@@ -601,8 +612,8 @@ impl<V: Copy> Arena<V> {
         self.epoch
     }
 
-    /// The per-shard storage, for snapshot capture.
-    pub fn shards(&self) -> &[ArenaShard<V>] {
+    /// The per-shard storage, for snapshot capture and row views.
+    pub fn shards(&self) -> &[ArenaShard<V>; NUM_SHARDS] {
         &self.shards
     }
 
@@ -815,11 +826,6 @@ impl<V: Copy> NodeStore<V> for Arena<V> {
     }
 
     #[inline]
-    fn leaf_value(&self, h: u32) -> V {
-        self.shards[shard_of(h)].leaf_value(h)
-    }
-
-    #[inline]
     fn leaf_value_mut(&mut self, h: u32) -> &mut V {
         self.shards[shard_of(h)].leaf_value_mut(h)
     }
@@ -964,9 +970,9 @@ mod tests {
         a.node_mut(d1).set_children(lrow, 0xFF);
         let voxel = a.child_of(d1, 7);
         assert_eq!(shard_of(voxel), 2, "leaf row colocated with the branch");
-        assert_eq!(a.leaf_value(voxel), 0.25);
+        assert_eq!(a.leaf_row(2, lrow)[7], 0.25);
         *a.leaf_value_mut(voxel) = 0.75;
-        assert_eq!(a.leaf_value(voxel), 0.75);
+        assert_eq!(a.leaf_row(2, lrow)[7], 0.75);
         assert_eq!(a.live_rows(), (2, 1));
         a.free_leaf_row_of(d1);
         a.node_mut(d1).clear_children();

@@ -138,23 +138,20 @@ impl GroupTable {
 
 /// Reusable group-by buffers, owned by the tree so steady-state batches
 /// allocate nothing.
-#[derive(Debug, Clone)]
-pub(crate) struct BatchScratch<V> {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BatchScratch {
     /// Packed voxel key → group id.
     pub(crate) group_of: GroupTable,
     /// Per group: `(morton, key)`.
     pub(crate) keys: Vec<(u64, VoxelKey)>,
-    /// Per group: delta range start in `deltas` (built from counts).
+    /// Per group: range start in `bits` (built from counts).
     pub(crate) starts: Vec<u32>,
     /// Per group: scatter cursor during grouping, then range end.
     pub(crate) cursors: Vec<u32>,
-    /// All deltas, grouped by key, per-key arrival order preserved
-    /// (raw log-odds batches only; hit/miss batches use `bits`).
-    pub(crate) deltas: Vec<V>,
-    /// Bit-encoded hit/miss sequences, grouped like `deltas`. One byte
-    /// per update instead of a log-odds value: the scatter pass is the
-    /// batch engine's main cache-miss producer, so shrinking its element
-    /// 4× is a measurable engine-row win.
+    /// Bit-encoded hit/miss sequences, grouped by key, per-key arrival
+    /// order preserved. One byte per update instead of a log-odds value:
+    /// the scatter pass is the batch engine's main cache-miss producer,
+    /// so shrinking its element 4× is a measurable engine-row win.
     pub(crate) bits: Vec<u8>,
     /// Per update: its group id (avoids a second hash lookup in the
     /// scatter pass).
@@ -163,33 +160,17 @@ pub(crate) struct BatchScratch<V> {
     pub(crate) order: Vec<u32>,
 }
 
-// Manual impl: the derived one would needlessly require `V: Default`.
-impl<V> Default for BatchScratch<V> {
-    fn default() -> Self {
-        BatchScratch {
-            group_of: GroupTable::default(),
-            keys: Vec::new(),
-            starts: Vec::new(),
-            cursors: Vec::new(),
-            deltas: Vec::new(),
-            bits: Vec::new(),
-            ids: Vec::new(),
-            order: Vec::new(),
-        }
-    }
-}
-
 /// The receiving end of
 /// [`apply_update_stream`](OccupancyOctree::apply_update_stream): a
 /// concrete (monomorphizable) sink, so the streaming group-by inlines
 /// into the emitter's hot loop — a `dyn FnMut` here would cost an
 /// indirect call per update.
 #[derive(Debug)]
-pub struct UpdateSink<'a, V> {
-    scratch: &'a mut BatchScratch<V>,
+pub struct UpdateSink<'a> {
+    scratch: &'a mut BatchScratch,
 }
 
-impl<V> UpdateSink<'_, V> {
+impl UpdateSink<'_> {
     /// Feeds one hit/miss update into the streaming batch.
     ///
     /// # Panics
@@ -214,21 +195,6 @@ impl<V> UpdateSink<'_, V> {
         scratch.cursors[id as usize] += 1;
         scratch.ids.push((id << 1) | u32::from(u.hit));
     }
-}
-
-/// How a batch's per-voxel sequences are stored and replayed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum DeltaMode<V> {
-    /// Hit/miss observations, scattered as one byte per update and
-    /// decoded against the resolved deltas at replay time.
-    HitMiss {
-        /// Log-odds delta of a hit.
-        hit: V,
-        /// Log-odds delta of a miss.
-        miss: V,
-    },
-    /// Arbitrary log-odds deltas, scattered verbatim.
-    Raw,
 }
 
 /// What one batch application did, beyond the shared
@@ -289,20 +255,11 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// # }
     /// ```
     pub fn apply_update_batch(&mut self, updates: &[VoxelUpdate]) -> BatchStats {
-        let hit = self.resolved.hit;
-        let miss = self.resolved.miss;
-        self.apply_batch_with(
-            updates,
-            |u| u.key,
-            |u| u8::from(u.hit),
-            |_| V::ZERO,
-            DeltaMode::HitMiss { hit, miss },
-            None,
-        )
-        // omu-lint: allow(no-panic) — infallible: `shards: None` selects
-        // the sequential walk, which spawns no workers and so cannot
-        // report a `TaskPanic`.
-        .expect("the sequential walk spawns no workers")
+        self.apply_batch_with(updates, None)
+            // omu-lint: allow(no-panic) — infallible: `shards: None` selects
+            // the sequential walk, which spawns no workers and so cannot
+            // report a `TaskPanic`.
+            .expect("the sequential walk spawns no workers")
     }
 
     /// [`apply_update_batch`](Self::apply_update_batch) with the tree walk
@@ -323,60 +280,21 @@ impl<V: LogOdds> OccupancyOctree<V> {
         updates: &[VoxelUpdate],
         shards: usize,
     ) -> Result<BatchStats, TaskPanic> {
-        let hit = self.resolved.hit;
-        let miss = self.resolved.miss;
-        self.apply_batch_with(
-            updates,
-            |u| u.key,
-            |u| u8::from(u.hit),
-            |_| V::ZERO,
-            DeltaMode::HitMiss { hit, miss },
-            Some(shards),
-        )
-    }
-
-    /// Applies a batch of raw log-odds deltas (the generic form of
-    /// [`apply_update_batch`](Self::apply_update_batch)).
-    pub fn apply_logodds_batch(&mut self, updates: &[(VoxelKey, V)]) -> BatchStats {
-        self.apply_batch_with(
-            updates,
-            |&(key, _)| key,
-            |_| 0,
-            |&(_, delta)| delta,
-            DeltaMode::Raw,
-            None,
-        )
-        // omu-lint: allow(no-panic) — infallible: `shards: None` selects
-        // the sequential walk, which spawns no workers and so cannot
-        // report a `TaskPanic`.
-        .expect("the sequential walk spawns no workers")
+        self.apply_batch_with(updates, Some(shards))
     }
 
     /// The batch engine core: hashed group-by-key, Morton sort of the
     /// unique keys, then one cached-descent walk replaying each group's
-    /// delta sequence with deferred finishing — sequential
-    /// (`parallel_shards: None`) or subtree-sharded across threads.
-    ///
-    /// The accessors are split so each pass extracts exactly what it
-    /// needs from the update stream: `key_of` feeds the group-by,
-    /// `bit_of`/`delta_of` feed the mode's scatter (hit/miss batches
-    /// scatter one byte per update without ever materializing a log-odds
-    /// delta — on an 11M-update scan stream that is a full pass of
-    /// avoided float selects and compares).
-    fn apply_batch_with<T, K, B, D>(
+    /// hit/miss sequence with deferred finishing — sequential
+    /// (`parallel_shards: None`) or subtree-sharded across threads. The
+    /// scatter stores one byte per update and never materializes a
+    /// log-odds delta; the walk decodes the bytes against the resolved
+    /// hit/miss deltas at replay time.
+    fn apply_batch_with(
         &mut self,
-        updates: &[T],
-        key_of: K,
-        bit_of: B,
-        delta_of: D,
-        mode: DeltaMode<V>,
+        updates: &[VoxelUpdate],
         parallel_shards: Option<usize>,
-    ) -> Result<BatchStats, TaskPanic>
-    where
-        K: Fn(&T) -> VoxelKey,
-        B: Fn(&T) -> u8,
-        D: Fn(&T) -> V,
-    {
+    ) -> Result<BatchStats, TaskPanic> {
         let mut stats = BatchStats {
             updates: updates.len() as u64,
             ..BatchStats::default()
@@ -403,7 +321,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         scratch.ids.clear();
         scratch.ids.reserve(updates.len());
         for u in updates {
-            let key = key_of(u);
+            let key = u.key;
             let new_id = scratch.keys.len() as u32;
             let id = match scratch.group_of.get_or_insert(packed_key(key), new_id) {
                 Some(existing) => existing,
@@ -418,7 +336,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         }
 
         // Turn counts into ranges: starts[g]..cursors[g] will delimit
-        // group g's deltas once the scatter pass is done.
+        // group g's bits once the scatter pass is done.
         let mut offset = 0u32;
         scratch.starts.reserve(scratch.keys.len());
         for cursor in &mut scratch.cursors {
@@ -428,40 +346,27 @@ impl<V: LogOdds> OccupancyOctree<V> {
             offset += count;
         }
 
-        // Pass 2: scatter deltas into their group's range. Scan order is
-        // preserved within each group, which keeps clamped additions
-        // bit-identical to the scalar replay. Hit/miss batches scatter a
-        // single byte per update (decoded at replay time), which is the
-        // difference between a 4× larger and a 1× working set on the
-        // engine's main cache-miss producer.
-        match mode {
-            DeltaMode::HitMiss { .. } => {
-                scratch.bits.clear();
-                scratch.bits.resize(updates.len(), 0);
-                for (u, &id) in updates.iter().zip(&scratch.ids) {
-                    let cursor = &mut scratch.cursors[id as usize];
-                    scratch.bits[*cursor as usize] = bit_of(u);
-                    *cursor += 1;
-                }
-            }
-            DeltaMode::Raw => {
-                scratch.deltas.clear();
-                scratch.deltas.resize(updates.len(), V::ZERO);
-                for (u, &id) in updates.iter().zip(&scratch.ids) {
-                    let cursor = &mut scratch.cursors[id as usize];
-                    scratch.deltas[*cursor as usize] = delta_of(u);
-                    *cursor += 1;
-                }
-            }
+        // Pass 2: scatter hit/miss bits into their group's range. Scan
+        // order is preserved within each group, which keeps clamped
+        // additions bit-identical to the scalar replay. One byte per
+        // update (decoded at replay time) is the difference between a 4×
+        // larger and a 1× working set on the engine's main cache-miss
+        // producer.
+        scratch.bits.clear();
+        scratch.bits.resize(updates.len(), 0);
+        for (u, &id) in updates.iter().zip(&scratch.ids) {
+            let cursor = &mut scratch.cursors[id as usize];
+            scratch.bits[*cursor as usize] = u8::from(u.hit);
+            *cursor += 1;
         }
 
         self.finish_grouped_batch(scratch, &mut stats, |tree, scratch, stats, created| {
             match parallel_shards {
                 None => {
-                    tree.walk_sequential(scratch, mode, stats, created);
+                    tree.walk_sequential(scratch, stats, created);
                     Ok(())
                 }
-                Some(shards) => tree.walk_sharded(scratch, mode, stats, created, shards),
+                Some(shards) => tree.walk_sharded(scratch, stats, created, shards),
             }
         })?;
         Ok(stats)
@@ -481,11 +386,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// stream touches nothing and reports zero updates).
     pub fn apply_update_stream<R>(
         &mut self,
-        fill: impl FnOnce(&mut UpdateSink<'_, V>) -> R,
+        fill: impl FnOnce(&mut UpdateSink<'_>) -> R,
     ) -> (R, BatchStats) {
-        let hit = self.resolved.hit;
-        let miss = self.resolved.miss;
-
         let mut scratch = std::mem::take(&mut self.batch_scratch);
         scratch.group_of.clear();
         scratch.keys.clear();
@@ -532,9 +434,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
             }
         }
 
-        let mode = DeltaMode::HitMiss { hit, miss };
         self.finish_grouped_batch(scratch, &mut stats, |tree, scratch, stats, created| {
-            tree.walk_sequential(scratch, mode, stats, created)
+            tree.walk_sequential(scratch, stats, created)
         });
         (result, stats)
     }
@@ -545,9 +446,9 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// whether the root was just created), and counter accounting.
     fn finish_grouped_batch<R>(
         &mut self,
-        mut scratch: BatchScratch<V>,
+        mut scratch: BatchScratch,
         stats: &mut BatchStats,
-        walk: impl FnOnce(&mut Self, &BatchScratch<V>, &mut BatchStats, bool) -> R,
+        walk: impl FnOnce(&mut Self, &BatchScratch, &mut BatchStats, bool) -> R,
     ) -> R {
         // One atomic load: refresh the snapshot-pin state so this batch
         // copies rows only for snapshots still alive, and retired rows
@@ -586,8 +487,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// batch.
     fn walk_sequential(
         &mut self,
-        scratch: &BatchScratch<V>,
-        mode: DeltaMode<V>,
+        scratch: &BatchScratch,
         stats: &mut BatchStats,
         mut root_just_created: bool,
     ) {
@@ -629,17 +529,10 @@ impl<V: LogOdds> OccupancyOctree<V> {
             }
             root_just_created = false;
 
-            // Replay the group's whole delta sequence on the leaf in hand
-            // (one leaf-row load and store for the whole sequence).
+            // Replay the group's whole hit/miss sequence on the leaf in
+            // hand (one leaf-row load and store for the whole sequence).
             let range = scratch.starts[id as usize] as usize..scratch.cursors[id as usize] as usize;
-            match mode {
-                DeltaMode::HitMiss { hit, miss } => {
-                    ctx.apply_leaf_bits(node, key, &scratch.bits[range], hit, miss, just_created)
-                }
-                DeltaMode::Raw => {
-                    ctx.apply_leaf_deltas(node, key, &scratch.deltas[range], just_created)
-                }
-            };
+            ctx.apply_leaf_bits(node, key, &scratch.bits[range], just_created);
             prev = Some(key);
         }
 
@@ -808,14 +701,6 @@ mod tests {
         // Siblings keep the saturated value.
         let sib = VoxelKey::new(base.x + 1, base.y, base.z);
         assert_eq!(t.search(sib).unwrap().0, t.params().clamp_max);
-    }
-
-    #[test]
-    fn logodds_batch_applies_raw_deltas() {
-        let mut t = OctreeF32::new(0.1).unwrap();
-        t.apply_logodds_batch(&[(VoxelKey::ORIGIN, 1.5f32), (VoxelKey::ORIGIN, -0.25)]);
-        let (v, _) = t.search(VoxelKey::ORIGIN).unwrap();
-        assert!((v - 1.25).abs() < 1e-6);
     }
 
     #[test]

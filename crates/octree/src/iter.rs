@@ -1,9 +1,10 @@
-//! Leaf iteration and map snapshots.
+//! Leaf iteration and map snapshots: one leaf iterator, [`LeafIter`],
+//! serves the live tree and its epoch snapshots, over the whole map or a
+//! key box.
 
 use omu_geometry::{LogOdds, Occupancy, Point3, VoxelKey, TREE_DEPTH};
 
-use crate::arena::{handle, NodeStore};
-use crate::node::NIL;
+use crate::snapshot::TreeView;
 use crate::tree::OccupancyOctree;
 
 /// One leaf of the tree: a voxel (depth 16) or a pruned region
@@ -20,14 +21,44 @@ pub struct LeafInfo {
     pub occupancy: Occupancy,
 }
 
-/// Depth-first iterator over the leaves of an [`OccupancyOctree`].
+/// Depth-first iterator over the leaves of an [`OccupancyOctree`] or of
+/// a [`Snapshot`](crate::Snapshot), optionally bounded to a key box.
 ///
 /// Yields leaves in deterministic (child index) order. Created by
-/// [`OccupancyOctree::iter_leaves`].
+/// [`OccupancyOctree::iter_leaves`] and
+/// [`iter_leaves_in_box`](OccupancyOctree::iter_leaves_in_box) /
+/// [`iter_leaves_in_aabb`](OccupancyOctree::iter_leaves_in_aabb), and by
+/// the same-named [`Snapshot`](crate::Snapshot) methods. A bounded walk
+/// skips whole subtrees whose key range misses the box, so its cost
+/// scales with the region, not the map.
 #[derive(Debug)]
 pub struct LeafIter<'a, V: LogOdds> {
-    tree: &'a OccupancyOctree<V>,
+    view: TreeView<'a, V>,
+    /// Inclusive key box `[min, max]`; `None` walks every leaf.
+    bounds: Option<(VoxelKey, VoxelKey)>,
     stack: Vec<(u32, VoxelKey, u8)>,
+}
+
+impl<'a, V: LogOdds> LeafIter<'a, V> {
+    pub(crate) fn new(view: TreeView<'a, V>, bounds: Option<(VoxelKey, VoxelKey)>) -> Self {
+        let mut stack = Vec::new();
+        if !view.is_empty() {
+            stack.push((view.root(), VoxelKey::new(0, 0, 0), 0u8));
+        }
+        LeafIter {
+            view,
+            bounds,
+            stack,
+        }
+    }
+
+    /// Collects the leaves as the canonical sorted `(key, depth,
+    /// logodds)` list (see [`OccupancyOctree::snapshot`]).
+    pub(crate) fn canonical(self) -> Vec<(VoxelKey, u8, f32)> {
+        let mut v: Vec<_> = self.map(|l| (l.key, l.depth, l.logodds)).collect();
+        v.sort_by_key(|&(key, depth, _)| (key, depth));
+        v
+    }
 }
 
 impl<V: LogOdds> Iterator for LeafIter<'_, V> {
@@ -35,42 +66,53 @@ impl<V: LogOdds> Iterator for LeafIter<'_, V> {
 
     fn next(&mut self) -> Option<LeafInfo> {
         while let Some((node, key, depth)) = self.stack.pop() {
-            // Depth-16 handles index value-only leaf rows.
-            if depth == TREE_DEPTH {
-                let v = self.tree.arena.leaf_value(node);
-                return Some(LeafInfo {
-                    key,
-                    depth,
-                    logodds: v.to_f32(),
-                    occupancy: self.tree.resolved.classify(v),
-                });
-            }
-            let n = self.tree.arena.node(node);
-            if n.is_leaf() {
-                return Some(LeafInfo {
-                    key,
-                    depth,
-                    logodds: n.value.to_f32(),
-                    occupancy: self.tree.resolved.classify(n.value),
-                });
-            }
-            let bit = TREE_DEPTH - 1 - depth;
-            // Child handles are arithmetic on the node in hand: resolve
-            // the children's shard and row once for all 8.
-            let shard = self.tree.arena.child_shard(node);
-            let row = n.row();
-            // Push in reverse so children pop in ascending index order.
-            for pos in (0..8usize).rev() {
-                if n.has_child(pos) {
-                    let child_key = VoxelKey::new(
-                        key.x | (((pos & 1) as u16) << bit),
-                        key.y | ((((pos >> 1) & 1) as u16) << bit),
-                        key.z | ((((pos >> 2) & 1) as u16) << bit),
-                    );
-                    self.stack
-                        .push((handle(shard, row, pos), child_key, depth + 1));
+            if let Some((min, max)) = self.bounds {
+                // The node at `depth` spans `span` finest voxels per axis
+                // from its anchor key.
+                let span = 1u32 << (TREE_DEPTH - depth);
+                let overlaps = |anchor: u16, lo: u16, hi: u16| {
+                    let a = anchor as u32;
+                    a <= hi as u32 && a + span > lo as u32
+                };
+                if !(overlaps(key.x, min.x, max.x)
+                    && overlaps(key.y, min.y, max.y)
+                    && overlaps(key.z, min.z, max.z))
+                {
+                    continue;
                 }
             }
+            // Depth-16 handles index value-only leaf rows.
+            let value = if depth == TREE_DEPTH {
+                self.view.leaf_value(node)
+            } else {
+                let n = if depth == 0 {
+                    self.view.root_node()
+                } else {
+                    self.view.node(node)
+                };
+                if !n.is_leaf() {
+                    let bit = TREE_DEPTH - 1 - depth;
+                    // Push in reverse so children pop in ascending index
+                    // order.
+                    for pos in (0..8usize).rev().filter(|&pos| n.has_child(pos)) {
+                        let child_key = VoxelKey::new(
+                            key.x | (((pos & 1) as u16) << bit),
+                            key.y | ((((pos >> 1) & 1) as u16) << bit),
+                            key.z | ((((pos >> 2) & 1) as u16) << bit),
+                        );
+                        let child = self.view.child(node, &n, pos);
+                        self.stack.push((child, child_key, depth + 1));
+                    }
+                    continue;
+                }
+                n.value
+            };
+            return Some(LeafInfo {
+                key,
+                depth,
+                logodds: value.to_f32(),
+                occupancy: self.view.resolved.classify(value),
+            });
         }
         None
     }
@@ -97,11 +139,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// # }
     /// ```
     pub fn iter_leaves(&self) -> LeafIter<'_, V> {
-        let mut stack = Vec::new();
-        if self.root != NIL {
-            stack.push((self.root, VoxelKey::new(0, 0, 0), 0u8));
-        }
-        LeafIter { tree: self, stack }
+        LeafIter::new(self.view(), None)
     }
 
     /// Centre coordinate of a leaf region.
@@ -114,12 +152,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// observationally identical — used to verify accelerator/baseline
     /// equivalence.
     pub fn snapshot(&self) -> Vec<(VoxelKey, u8, f32)> {
-        let mut v: Vec<_> = self
-            .iter_leaves()
-            .map(|l| (l.key, l.depth, l.logodds))
-            .collect();
-        v.sort_by_key(|&(key, depth, _)| (key, depth));
-        v
+        self.iter_leaves().canonical()
     }
 }
 

@@ -53,6 +53,13 @@
 //! [`TaskPanic`] (inside [`ParallelInsertError`]) with every shard
 //! reattached first.
 //!
+//! The read side has one implementation of each algorithm: the
+//! cached-descent [`DescentCursor`], the [`LeafIter`] (whole map or a key
+//! box), the pre-order encoder behind `to_bytes` and the uncached
+//! `search`. Each runs on one crate-private row view that the live tree
+//! and its epoch [`Snapshot`]s build the same way, so a snapshot answers
+//! through exactly the code the live tree answers through.
+//!
 //! # Examples
 //!
 //! ```
@@ -97,8 +104,7 @@ pub use iter::{LeafInfo, LeafIter};
 pub use omu_pool::{PoolStats, TaskPanic, WorkerPool};
 pub use query::{cast_ray_resuming, cast_ray_with, collides_sphere_with, RayCastResult};
 pub use query_batch::{serve_morton_coalesced, DescentCursor};
-pub use region::LeafInBoxIter;
 pub use serialize::DeserializeError;
-pub use snapshot::{SnapLeafIter, Snapshot, SnapshotReader, SnapshotStats};
+pub use snapshot::{Snapshot, SnapshotStats};
 pub use stats::{MemoryStats, TreeStats};
 pub use tree::{OccupancyOctree, OctreeF32, OctreeFixed};

@@ -5,7 +5,7 @@
 //! methods and the `omu-map` facade (which also serves the accelerator
 //! backend) share one implementation.
 
-use omu_geometry::{KeyConverter, KeyError, LogOdds, Occupancy, Point3, VoxelKey};
+use omu_geometry::{KeyConverter, KeyError, LogOdds, Occupancy, Point3, VoxelKey, TREE_DEPTH};
 use omu_raycast::RayWalk;
 
 use crate::tree::OccupancyOctree;
@@ -194,13 +194,14 @@ impl<V: LogOdds> OccupancyOctree<V> {
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<RayCastResult, KeyError> {
+        let view = self.view();
         cast_ray_with(
             &self.conv,
             origin,
             direction,
             max_range,
             ignore_unknown,
-            |key| match self.search(key) {
+            |key| match view.search(key, TREE_DEPTH) {
                 Some((v, _)) => (self.resolved.classify(v), v.to_f32()),
                 None => (Occupancy::Unknown, 0.0),
             },
@@ -219,7 +220,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// Returns [`KeyError`] when the probe region leaves the addressable
     /// map.
     pub fn collides_sphere(&self, center: Point3, radius: f64) -> Result<bool, KeyError> {
-        collides_sphere_with(&self.conv, center, radius, |key| self.occupancy(key))
+        let view = self.view();
+        collides_sphere_with(&self.conv, center, radius, |key| view.occupancy(key))
     }
 }
 

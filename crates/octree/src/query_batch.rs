@@ -1,6 +1,6 @@
-//! The batched query engine: cached-descent cursors, Morton-coalesced
-//! key batches and a sharded parallel read path — the read-side mirror
-//! of the `batch` update module.
+//! The batched query engine: the cached-descent cursor, Morton-coalesced
+//! key batches and a sharded parallel read path — the read-side
+//! counterpart of the `batch` update module.
 //!
 //! The scalar query path ([`search`](OccupancyOctree::search)) pays a
 //! full root-to-leaf descent per probe. Planner workloads probe in
@@ -11,11 +11,13 @@
 //! common ancestor, so a ray's per-step probe cost drops from O(depth)
 //! to amortized O(1):
 //!
-//! 1. [`DescentCursor`] — a read-only cursor over the tree holding the
-//!    current root-to-leaf node path; [`DescentCursor::search`] resumes
-//!    from the deepest level shared with the previous key (computed in
-//!    one XOR via
+//! 1. [`DescentCursor`] — a read-only cursor holding the current
+//!    root-to-leaf node path; [`DescentCursor::search`] resumes from the
+//!    deepest level shared with the previous key (computed in one XOR via
 //!    [`common_prefix_depth`](omu_geometry::VoxelKey::common_prefix_depth)).
+//!    It runs on the crate's one row view, so the same cursor serves the
+//!    live tree ([`query_cursor`](OccupancyOctree::query_cursor)) and an
+//!    epoch snapshot ([`Snapshot::reader`](crate::Snapshot::reader)).
 //! 2. [`query_batch`](OccupancyOctree::query_batch) — sorts a key batch
 //!    by Morton code (subtrees become contiguous runs, maximizing prefix
 //!    reuse), coalesces duplicate keys, serves the sorted order through
@@ -23,9 +25,8 @@
 //! 3. [`cast_rays`](OccupancyOctree::cast_rays) /
 //!    [`query_batch_parallel`](OccupancyOctree::query_batch_parallel) —
 //!    the parallel read path: `&self` queries are embarrassingly
-//!    parallel, so batches are chunked across scoped threads, each with
-//!    its own cursor, and per-thread [`QueryCounters`] merge after the
-//!    join.
+//!    parallel, so batches are chunked across pool workers, each with its
+//!    own cursor, and per-task [`QueryCounters`] merge after the join.
 //!
 //! Every path returns results **bit-identical** to probing the same keys
 //! through the scalar [`search`](OccupancyOctree::search) — the cursor
@@ -36,11 +37,11 @@
 use omu_geometry::{KeyError, LogOdds, Occupancy, Point3, VoxelKey, TREE_DEPTH};
 use omu_raycast::RayWalk;
 
-use crate::arena::{handle, NodeStore};
 use crate::counters::QueryCounters;
 use crate::node::NIL;
 use crate::query::{cast_ray_resuming, collides_sphere_with, RayCastResult};
 use crate::shard::resolve_apply_shards;
+use crate::snapshot::TreeView;
 use crate::tree::OccupancyOctree;
 
 /// `path[d]` = node at depth `d`; the root lives at index 0 and a finest
@@ -69,9 +70,11 @@ pub(crate) const PARALLEL_CAST_MIN_RAYS: usize = 32;
 /// probe instead of O([`TREE_DEPTH`]).
 ///
 /// Results are bit-identical to [`OccupancyOctree::search`]: the cursor
-/// reads the same arena, it only skips re-reading levels the previous
-/// descent already resolved. The borrow of the tree guarantees the map
-/// cannot change underneath the cached path.
+/// reads the same rows, it only skips re-reading levels the previous
+/// descent already resolved. The cursor borrows its source — the live
+/// tree ([`OccupancyOctree::query_cursor`]) or an epoch snapshot
+/// ([`Snapshot::reader`](crate::Snapshot::reader)) — so the map cannot
+/// change underneath the cached path.
 ///
 /// # Examples
 ///
@@ -96,7 +99,7 @@ pub(crate) const PARALLEL_CAST_MIN_RAYS: usize = 32;
 /// ```
 #[derive(Debug)]
 pub struct DescentCursor<'t, V: LogOdds> {
-    tree: &'t OccupancyOctree<V>,
+    view: TreeView<'t, V>,
     /// Cached node path of the previous key; entries `0..=depth` valid.
     path: [u32; PATH_LEN],
     /// Depth at which the previous descent stopped (deepest valid entry).
@@ -106,19 +109,22 @@ pub struct DescentCursor<'t, V: LogOdds> {
     /// re-aim it ([`RayWalk::restart`]) instead of constructing per-ray
     /// iterator state.
     walk: Option<RayWalk>,
+    /// Morton scratch for [`Self::query_batch`].
+    order: Vec<(u64, u32)>,
     counters: QueryCounters,
 }
 
 impl<'t, V: LogOdds> DescentCursor<'t, V> {
-    pub(crate) fn new(tree: &'t OccupancyOctree<V>) -> Self {
+    pub(crate) fn new(view: TreeView<'t, V>) -> Self {
         let mut path = [NIL; PATH_LEN];
-        path[0] = tree.root;
+        path[0] = view.root();
         DescentCursor {
-            tree,
+            view,
             path,
             depth: 0,
             prev: None,
             walk: None,
+            order: Vec::new(),
             counters: QueryCounters::default(),
         }
     }
@@ -132,7 +138,7 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
     /// layout), and presence is a mask test.
     pub fn search(&mut self, key: VoxelKey) -> Option<(V, u8)> {
         self.counters.probes += 1;
-        if self.tree.root == NIL {
+        if self.view.is_empty() {
             return None;
         }
         let resume = match self.prev {
@@ -143,36 +149,48 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
         self.prev = Some(key);
 
         let mut node = self.path[resume];
-        for d in resume..TREE_DEPTH as usize {
-            let n = *self.tree.arena.node(node);
-            if n.is_leaf() {
-                // A pruned (or coarse) leaf covers the whole subtree.
-                self.depth = d as u8;
-                return Some((n.value, d as u8));
+        let mut d = resume;
+        if d < TREE_DEPTH as usize {
+            let mut n = if d == 0 {
+                self.view.root_node()
+            } else {
+                self.view.node(node)
+            };
+            loop {
+                if n.is_leaf() {
+                    // A pruned (or coarse) leaf covers the whole subtree.
+                    self.depth = d as u8;
+                    return Some((n.value, d as u8));
+                }
+                self.counters.node_visits += 1;
+                let pos = key.child_index_at(d as u8).index();
+                if !n.has_child(pos) {
+                    // The node has children, just not on this path.
+                    self.depth = d as u8;
+                    return None;
+                }
+                // One dependent load per level: the child handle is
+                // arithmetic on the node already in hand.
+                node = self.view.child(node, &n, pos);
+                d += 1;
+                self.path[d] = node;
+                if d == TREE_DEPTH as usize {
+                    break;
+                }
+                n = self.view.node(node);
             }
-            self.counters.node_visits += 1;
-            let pos = key.child_index_at(d as u8).index();
-            if !n.has_child(pos) {
-                // The node has children, just not on this path.
-                self.depth = d as u8;
-                return None;
-            }
-            // One dependent load per level: the child handle is
-            // arithmetic on the node already in hand.
-            node = handle(self.tree.arena.child_shard(node), n.row(), pos);
-            self.path[d + 1] = node;
         }
-        // Completing the loop (or resuming at full depth) means `node`
-        // is a depth-16 voxel living in a value-only leaf row.
+        // Reaching (or resuming at) full depth means `node` is a depth-16
+        // voxel living in a value-only leaf row.
         self.depth = TREE_DEPTH;
-        Some((self.tree.arena.leaf_value(node), TREE_DEPTH))
+        Some((self.view.leaf_value(node), TREE_DEPTH))
     }
 
     /// Occupancy classification of the voxel at `key` (the cursor form
     /// of [`OccupancyOctree::occupancy`]).
     pub fn occupancy(&mut self, key: VoxelKey) -> Occupancy {
         match self.search(key) {
-            Some((v, _)) => self.tree.resolved.classify(v),
+            Some((v, _)) => self.view.resolved.classify(v),
             None => Occupancy::Unknown,
         }
     }
@@ -183,7 +201,7 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
     #[inline]
     fn probe(&mut self, key: VoxelKey) -> (Occupancy, f32) {
         match self.search(key) {
-            Some((v, _)) => (self.tree.resolved.classify(v), v.to_f32()),
+            Some((v, _)) => (self.view.resolved.classify(v), v.to_f32()),
             None => (Occupancy::Unknown, 0.0),
         }
     }
@@ -205,10 +223,10 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
         ignore_unknown: bool,
     ) -> Result<RayCastResult, KeyError> {
         self.counters.rays += 1;
-        let conv = self.tree.conv;
+        let conv = self.view.conv;
         let mut walk = self.walk.take().unwrap_or_else(RayWalk::idle);
         let res = cast_ray_resuming(
-            &conv,
+            conv,
             &mut walk,
             origin,
             direction,
@@ -228,8 +246,35 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
     ///
     /// Returns [`KeyError`] when the probe region leaves the map.
     pub fn collides_sphere(&mut self, center: Point3, radius: f64) -> Result<bool, KeyError> {
-        let conv = self.tree.conv;
-        collides_sphere_with(&conv, center, radius, |key| self.occupancy(key))
+        let conv = self.view.conv;
+        collides_sphere_with(conv, center, radius, |key| self.occupancy(key))
+    }
+
+    /// Classifies `keys` into `results` (resized to `keys.len()`, input
+    /// order) through the Morton-coalesced batch engine — same results as
+    /// [`OccupancyOctree::query_batch`], with the sort scratch owned by
+    /// the cursor.
+    pub fn query_batch(&mut self, keys: &[VoxelKey], results: &mut Vec<Occupancy>) {
+        results.clear();
+        results.resize(keys.len(), Occupancy::Unknown);
+        let mut order = std::mem::take(&mut self.order);
+        self.serve(keys, &mut order, results);
+        self.order = order;
+    }
+
+    /// One [`serve_morton_coalesced`] sweep of `keys` through this
+    /// cursor, counting the batch in the cursor's counters.
+    fn serve(&mut self, keys: &[VoxelKey], order: &mut Vec<(u64, u32)>, results: &mut [Occupancy]) {
+        let mut coalesced = 0u64;
+        serve_morton_coalesced(
+            keys,
+            order,
+            results,
+            |key| self.occupancy(key),
+            || coalesced += 1,
+        );
+        self.counters.batch_queries += keys.len() as u64;
+        self.counters.batch_coalesced += coalesced;
     }
 
     /// The read-side operation counters this cursor accumulated.
@@ -303,25 +348,17 @@ pub fn serve_morton_coalesced(
     }
 }
 
-/// One cursor sweep of [`serve_morton_coalesced`] over a key chunk.
-/// Returns the cursor's counters and the number of coalesced
-/// duplicates.
+/// One fresh cursor's sweep over a key chunk, with caller-owned sort
+/// scratch; returns the cursor's counters.
 fn serve_chunk<V: LogOdds>(
-    tree: &OccupancyOctree<V>,
+    view: TreeView<'_, V>,
     keys: &[VoxelKey],
     order: &mut Vec<(u64, u32)>,
     results: &mut [Occupancy],
-) -> (QueryCounters, u64) {
-    let mut cursor = DescentCursor::new(tree);
-    let mut coalesced = 0u64;
-    serve_morton_coalesced(
-        keys,
-        order,
-        results,
-        |key| cursor.occupancy(key),
-        || coalesced += 1,
-    );
-    (cursor.into_counters(), coalesced)
+) -> QueryCounters {
+    let mut cursor = DescentCursor::new(view);
+    cursor.serve(keys, order, results);
+    cursor.into_counters()
 }
 
 impl<V: LogOdds> OccupancyOctree<V> {
@@ -331,7 +368,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// [`Self::cast_ray_cached`], …) merge them into
     /// [`Self::query_counters`] automatically.
     pub fn query_cursor(&self) -> DescentCursor<'_, V> {
-        DescentCursor::new(self)
+        DescentCursor::new(self.view())
     }
 
     /// Classifies a batch of voxel keys, returning the occupancies in
@@ -368,11 +405,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
         scratch.results.clear();
         scratch.results.resize(keys.len(), Occupancy::Unknown);
 
-        let (counters, coalesced) =
-            serve_chunk(self, keys, &mut scratch.order, &mut scratch.results);
+        let counters = serve_chunk(self.view(), keys, &mut scratch.order, &mut scratch.results);
         self.query_counters.merge(&counters);
-        self.query_counters.batch_queries += keys.len() as u64;
-        self.query_counters.batch_coalesced += coalesced;
         self.query_scratch = scratch;
         &self.query_scratch.results
     }
@@ -396,7 +430,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
 
         let chunk = keys.len().div_ceil(workers);
         let pool = self.worker_pool_handle();
-        let tree = &*self;
+        let view = self.view();
         let nchunks = keys.len().div_ceil(chunk);
         let mut slots: Vec<Option<QueryCounters>> = (0..nchunks).map(|_| None).collect();
         pool.scope(|s| {
@@ -408,10 +442,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
             {
                 s.spawn_on(i, move || {
                     let mut order = Vec::new();
-                    let (mut c, coalesced) = serve_chunk(tree, keys_chunk, &mut order, out_chunk);
-                    c.batch_queries = keys_chunk.len() as u64;
-                    c.batch_coalesced = coalesced;
-                    *slot = Some(c);
+                    *slot = Some(serve_chunk(view, keys_chunk, &mut order, out_chunk));
                 });
             }
         });
@@ -484,14 +515,14 @@ impl<V: LogOdds> OccupancyOctree<V> {
 
         let chunk = rays.len().div_ceil(workers);
         let pool = self.worker_pool_handle();
-        let tree = &*self;
+        let view = self.view();
         let nchunks = rays.len().div_ceil(chunk);
         type CastSlot = Option<(Result<Vec<RayCastResult>, KeyError>, QueryCounters)>;
         let mut slots: Vec<CastSlot> = (0..nchunks).map(|_| None).collect();
         pool.scope(|s| {
             for (i, (rays_chunk, slot)) in rays.chunks(chunk).zip(slots.iter_mut()).enumerate() {
                 s.spawn_on(i, move || {
-                    let mut cursor = DescentCursor::new(tree);
+                    let mut cursor = DescentCursor::new(view);
                     let res = rays_chunk
                         .iter()
                         .map(|&(o, d)| cursor.cast_ray(o, d, max_range, ignore_unknown))

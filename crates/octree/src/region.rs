@@ -1,99 +1,20 @@
 //! Region queries: iterating the leaves inside an axis-aligned box.
 //!
 //! Collision detection and local planners only care about the map near the
-//! robot; OctoMap serves this with `begin_leafs_bbx`. The iterator prunes
-//! whole subtrees whose key range falls outside the query box, so the cost
-//! scales with the region, not the map.
+//! robot; OctoMap serves this with `begin_leafs_bbx`. The bounded
+//! [`LeafIter`] prunes whole subtrees whose key range falls outside the
+//! query box, so the cost scales with the region, not the map.
 
-use omu_geometry::{Aabb, KeyError, LogOdds, Occupancy, VoxelKey, TREE_DEPTH};
+use omu_geometry::{Aabb, KeyError, LogOdds, Occupancy, VoxelKey};
 
-use crate::arena::{handle, NodeStore};
-use crate::iter::LeafInfo;
-use crate::node::NIL;
+use crate::iter::LeafIter;
 use crate::tree::OccupancyOctree;
-
-/// Depth-first iterator over leaves intersecting a key box. Created by
-/// [`OccupancyOctree::iter_leaves_in_box`].
-#[derive(Debug)]
-pub struct LeafInBoxIter<'a, V: LogOdds> {
-    tree: &'a OccupancyOctree<V>,
-    min: VoxelKey,
-    max: VoxelKey,
-    stack: Vec<(u32, VoxelKey, u8)>,
-}
-
-impl<V: LogOdds> Iterator for LeafInBoxIter<'_, V> {
-    type Item = LeafInfo;
-
-    fn next(&mut self) -> Option<LeafInfo> {
-        while let Some((node, key, depth)) = self.stack.pop() {
-            // The node at `depth` spans `span` finest voxels per axis from
-            // its anchor key.
-            let span = 1u32 << (TREE_DEPTH - depth);
-            let overlaps = |anchor: u16, lo: u16, hi: u16| {
-                let a = anchor as u32;
-                a <= hi as u32 && a + span > lo as u32
-            };
-            if !(overlaps(key.x, self.min.x, self.max.x)
-                && overlaps(key.y, self.min.y, self.max.y)
-                && overlaps(key.z, self.min.z, self.max.z))
-            {
-                continue;
-            }
-            // Depth-16 handles index value-only leaf rows.
-            if depth == TREE_DEPTH {
-                let v = self.tree.arena.leaf_value(node);
-                return Some(LeafInfo {
-                    key,
-                    depth,
-                    logodds: v.to_f32(),
-                    occupancy: self.tree.resolved.classify(v),
-                });
-            }
-            let n = self.tree.arena.node(node);
-            if n.is_leaf() {
-                return Some(LeafInfo {
-                    key,
-                    depth,
-                    logodds: n.value.to_f32(),
-                    occupancy: self.tree.resolved.classify(n.value),
-                });
-            }
-            let bit = TREE_DEPTH - 1 - depth;
-            // Child handles are arithmetic on the node in hand: resolve
-            // the children's shard and row once for all 8.
-            let shard = self.tree.arena.child_shard(node);
-            let row = n.row();
-            for pos in (0..8usize).rev() {
-                if n.has_child(pos) {
-                    let child_key = VoxelKey::new(
-                        key.x | (((pos & 1) as u16) << bit),
-                        key.y | ((((pos >> 1) & 1) as u16) << bit),
-                        key.z | ((((pos >> 2) & 1) as u16) << bit),
-                    );
-                    self.stack
-                        .push((handle(shard, row, pos), child_key, depth + 1));
-                }
-            }
-        }
-        None
-    }
-}
 
 impl<V: LogOdds> OccupancyOctree<V> {
     /// Iterates the leaves whose regions intersect the key box
     /// `[min, max]` (inclusive, per axis).
-    pub fn iter_leaves_in_box(&self, min: VoxelKey, max: VoxelKey) -> LeafInBoxIter<'_, V> {
-        let mut stack = Vec::new();
-        if self.root != NIL {
-            stack.push((self.root, VoxelKey::new(0, 0, 0), 0u8));
-        }
-        LeafInBoxIter {
-            tree: self,
-            min,
-            max,
-            stack,
-        }
+    pub fn iter_leaves_in_box(&self, min: VoxelKey, max: VoxelKey) -> LeafIter<'_, V> {
+        LeafIter::new(self.view(), Some((min, max)))
     }
 
     /// Iterates the leaves intersecting a metric box.
@@ -101,7 +22,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// # Errors
     ///
     /// Returns [`KeyError`] when a corner of the box is outside the map.
-    pub fn iter_leaves_in_aabb(&self, aabb: &Aabb) -> Result<LeafInBoxIter<'_, V>, KeyError> {
+    pub fn iter_leaves_in_aabb(&self, aabb: &Aabb) -> Result<LeafIter<'_, V>, KeyError> {
         let min = self.conv.coord_to_key(aabb.min())?;
         let max = self.conv.coord_to_key(aabb.max())?;
         Ok(self.iter_leaves_in_box(min, max))
@@ -124,7 +45,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
 mod tests {
     use super::*;
     use crate::tree::OctreeF32;
-    use omu_geometry::{Point3, PointCloud, Scan};
+    use omu_geometry::{Point3, PointCloud, Scan, TREE_DEPTH};
 
     fn mapped_tree() -> OctreeF32 {
         let mut t = OctreeF32::new(0.1).unwrap();

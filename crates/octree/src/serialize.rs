@@ -8,13 +8,13 @@
 use std::error::Error;
 use std::fmt;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use omu_geometry::{LogOdds, OccupancyParams, TREE_DEPTH};
 
 use crate::arena::NodeStore;
 use crate::checksum::crc32;
-use crate::node::{Node, NIL};
-use crate::snapshot::Snapshot;
+use crate::node::Node;
+use crate::snapshot::{Snapshot, TreeView};
 use crate::tree::OccupancyOctree;
 
 const MAGIC: &[u8; 4] = b"OMUT";
@@ -83,7 +83,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// # }
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode(VERSION)
+        encode(&self.view(), VERSION, &self.params)
     }
 
     /// Serializes the tree to the v2 wire format: the v1 payload (with
@@ -113,50 +113,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// # }
     /// ```
     pub fn to_bytes_checksummed(&self) -> Vec<u8> {
-        let mut out = self.encode(VERSION_V2);
-        seal(&mut out);
-        out
-    }
-
-    /// Pre-order payload shared by the v1 and v2 formats; only the
-    /// version byte differs.
-    fn encode(&self, version: u8) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64 + self.num_nodes() * 5);
-        write_header(
-            &mut buf,
-            version,
-            self.resolution(),
-            self.params(),
-            self.root != NIL,
-        );
-        if self.root != NIL {
-            self.write_node(&mut buf, self.root, 0);
-        }
-        buf.to_vec()
-    }
-
-    /// Writes one node in the pre-order `(value, child mask)` wire form.
-    /// The in-memory sibling-row layout converts at this boundary: the
-    /// mask is the node's packed child mask, depth-16 voxels read from
-    /// their leaf row and always encode a zero mask — byte-identical to
-    /// the format the block-arena layout produced.
-    fn write_node(&self, buf: &mut BytesMut, node: u32, depth: u8) {
-        if depth == TREE_DEPTH {
-            buf.put_f32(self.arena.leaf_value(node).to_f32());
-            buf.put_u8(0);
-            return;
-        }
-        let n = self.arena.node(node);
-        buf.put_f32(n.value.to_f32());
-        buf.put_u8(n.mask());
-        if n.is_leaf() {
-            return;
-        }
-        for pos in 0..8 {
-            if n.has_child(pos) {
-                self.write_node(buf, self.arena.child_of(node, pos), depth + 1);
-            }
-        }
+        seal(encode(&self.view(), VERSION_V2, &self.params))
     }
 
     /// Reconstructs a tree from bytes produced by [`Self::to_bytes`]
@@ -305,40 +262,57 @@ impl<V: LogOdds> Snapshot<V> {
     /// # }
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(4096);
-        write_header(
-            &mut buf,
-            VERSION_V2,
-            self.resolution(),
-            self.params(),
-            !self.is_empty(),
-        );
-        if !self.is_empty() {
-            self.write_node(&mut buf, self.root_handle(), 0);
-        }
-        let mut out = buf.to_vec();
-        seal(&mut out);
-        out
+        seal(encode(&self.view(), VERSION_V2, self.params()))
     }
+}
 
-    /// Pre-order `(value, child mask)` walk over the snapshot's frozen
-    /// rows — the same traversal as the live tree's `write_node`.
-    fn write_node(&self, buf: &mut BytesMut, node: u32, depth: u8) {
-        if depth == TREE_DEPTH {
-            buf.put_f32(self.leaf_at(node).to_f32());
+/// Initial capacity of an encode buffer. The buffer grows as the walk
+/// goes: sizing it exactly would take a node-counting walk over the whole
+/// tree first, which costs more than the few reallocations it saves.
+const ENCODE_CAPACITY: usize = 4096;
+
+/// The one encoder: the header, then the pre-order `(value, child mask)`
+/// payload of `view` — behind [`OccupancyOctree::to_bytes`] (v1),
+/// [`OccupancyOctree::to_bytes_checksummed`] and [`Snapshot::to_bytes`]
+/// (v2, sealed afterwards). Only the version byte differs between the
+/// v1 and v2 payloads.
+fn encode<V: LogOdds>(view: &TreeView<'_, V>, version: u8, params: &OccupancyParams) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(ENCODE_CAPACITY);
+    write_header(
+        &mut buf,
+        version,
+        view.conv.resolution(),
+        params,
+        !view.is_empty(),
+    );
+    if !view.is_empty() {
+        write_node(view, &mut buf, view.root(), view.root_node(), 0);
+    }
+    buf
+}
+
+/// Writes node `n` (handle `h`, at `depth`) and its subtree in the
+/// pre-order `(value, child mask)` wire form. The in-memory sibling-row
+/// layout converts at this boundary: the mask is the node's packed child
+/// mask, depth-16 voxels read from their leaf row and always encode a
+/// zero mask — byte-identical to the format the block-arena layout
+/// produced.
+fn write_node<V: LogOdds>(
+    view: &TreeView<'_, V>,
+    buf: &mut Vec<u8>,
+    h: u32,
+    n: Node<V>,
+    depth: u8,
+) {
+    buf.put_f32(n.value.to_f32());
+    buf.put_u8(n.mask());
+    for pos in (0..8).filter(|&pos| n.has_child(pos)) {
+        let child = view.child(h, &n, pos);
+        if depth + 1 == TREE_DEPTH {
+            buf.put_f32(view.leaf_value(child).to_f32());
             buf.put_u8(0);
-            return;
-        }
-        let n = self.node_at(node);
-        buf.put_f32(n.value.to_f32());
-        buf.put_u8(n.mask());
-        if n.is_leaf() {
-            return;
-        }
-        for pos in 0..8 {
-            if n.has_child(pos) {
-                self.write_node(buf, self.child_handle(node, &n, pos), depth + 1);
-            }
+        } else {
+            write_node(view, buf, child, view.node(child), depth + 1);
         }
     }
 }
@@ -346,7 +320,7 @@ impl<V: LogOdds> Snapshot<V> {
 /// Writes the header shared by the v1 and v2 formats: magic, version,
 /// resolution, the five occupancy parameters, and the root flag.
 fn write_header(
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
     version: u8,
     resolution: f64,
     p: &OccupancyParams,
@@ -363,12 +337,13 @@ fn write_header(
     buf.put_u8(u8::from(has_root));
 }
 
-/// Seals a v2 payload in place: appends the little-endian CRC-32 of
-/// everything so far, then the end magic.
-fn seal(out: &mut Vec<u8>) {
-    let crc = crc32(out);
+/// Seals a v2 payload: appends the little-endian CRC-32 of everything
+/// so far, then the end magic.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(END_MAGIC);
+    out
 }
 
 /// Reads one node's `(value, child mask)` header.

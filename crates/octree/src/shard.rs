@@ -27,7 +27,7 @@ use omu_geometry::{LogOdds, ResolvedParams, VoxelKey, TREE_DEPTH};
 use omu_pool::TaskPanic;
 
 use crate::arena::{ArenaShard, NodeStore, NUM_BRANCHES};
-use crate::batch::{BatchScratch, BatchStats, DeltaMode};
+use crate::batch::{BatchScratch, BatchStats};
 use crate::counters::OpCounters;
 use crate::node::{Node, NIL};
 use crate::tree::OccupancyOctree;
@@ -67,11 +67,6 @@ impl<V: LogOdds> NodeStore<V> for BranchStore<V> {
         } else {
             self.shard.node_mut(h)
         }
-    }
-
-    #[inline]
-    fn leaf_value(&self, h: u32) -> V {
-        self.shard.leaf_value(h)
     }
 
     #[inline]
@@ -177,8 +172,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// the batch's value updates may be partially applied.
     pub(crate) fn walk_sharded(
         &mut self,
-        scratch: &BatchScratch<V>,
-        mode: DeltaMode<V>,
+        scratch: &BatchScratch,
         stats: &mut BatchStats,
         mut root_just_created: bool,
         shards: usize,
@@ -249,7 +243,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         let mut panicked: Option<TaskPanic> = None;
         if nworkers <= 1 {
             for task in &mut tasks {
-                run_branch_task(task, scratch, mode, resolved, pruning, track_changes);
+                run_branch_task(task, scratch, resolved, pruning, track_changes);
             }
         } else {
             // Pooled dispatch: branch i's task goes to queue i % n on
@@ -268,7 +262,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
                             // used by tests to prove panic containment.
                             panic!("injected worker panic on branch {}", task.branch);
                         }
-                        run_branch_task(task, scratch, mode, resolved, pruning, track_changes);
+                        run_branch_task(task, scratch, resolved, pruning, track_changes);
                     });
                 }
             });
@@ -309,8 +303,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
 /// performed the depth-0 step).
 fn run_branch_task<V: LogOdds>(
     task: &mut BranchTask<V>,
-    scratch: &BatchScratch<V>,
-    mode: DeltaMode<V>,
+    scratch: &BatchScratch,
     resolved: ResolvedParams<V>,
     pruning_enabled: bool,
     track_changes: bool,
@@ -365,17 +358,10 @@ fn run_branch_task<V: LogOdds>(
             stats.descended_levels += 1;
         }
 
-        // Replay the group's whole delta sequence on the leaf in hand
+        // Replay the group's whole hit/miss sequence on the leaf in hand
         // (one leaf-row load and store for the whole sequence).
-        let drange = scratch.starts[id as usize] as usize..scratch.cursors[id as usize] as usize;
-        match mode {
-            DeltaMode::HitMiss { hit, miss } => {
-                ctx.apply_leaf_bits(node, key, &scratch.bits[drange], hit, miss, just_created)
-            }
-            DeltaMode::Raw => {
-                ctx.apply_leaf_deltas(node, key, &scratch.deltas[drange], just_created)
-            }
-        };
+        let range = scratch.starts[id as usize] as usize..scratch.cursors[id as usize] as usize;
+        ctx.apply_leaf_bits(node, key, &scratch.bits[range], just_created);
         prev = Some(key);
     }
 

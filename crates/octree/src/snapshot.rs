@@ -34,6 +34,14 @@
 //! Readers never block the writer or each other: a [`Snapshot`] is an
 //! `Arc` over immutable chunk tables.
 //!
+//! Reads go through one borrowed row view, [`TreeView`]: the tree's
+//! shards, each a chunk list and a length per tier, lent by the live
+//! arena or by a snapshot's read-only shard copies. Every read
+//! algorithm — the [`DescentCursor`](crate::DescentCursor), the
+//! [`LeafIter`](crate::LeafIter), the pre-order encoder and the uncached
+//! [`TreeView::search`] — is written once against it, so a snapshot
+//! answers through exactly the code the live tree answers through.
+//!
 //! This module is the crate's single home for `unsafe` and atomics
 //! (alongside `omu-pool`); the arena stays safe by construction and the
 //! lint gate enforces the confinement.
@@ -48,15 +56,15 @@ use omu_geometry::{
     Aabb, KeyConverter, KeyError, LogOdds, Occupancy, OccupancyParams, Point3, ResolvedParams,
     VoxelKey, TREE_DEPTH,
 };
-use omu_raycast::RayWalk;
 use serde::{Deserialize, Serialize};
 
-use crate::arena::{child_shard_of, handle, oct_of, row_of, Arena, NodeStore};
-use crate::counters::QueryCounters;
-use crate::iter::LeafInfo;
-use crate::node::{LeafRow, Node, NodeRow, NIL};
-use crate::query::{cast_ray_resuming, collides_sphere_with, RayCastResult};
-use crate::query_batch::serve_morton_coalesced;
+use crate::arena::{
+    child_shard_of, handle, oct_of, row_of, shard_of, Arena, ArenaShard, NodeStore, NUM_SHARDS,
+};
+use crate::iter::LeafIter;
+use crate::node::{Node, NIL};
+use crate::query::RayCastResult;
+use crate::query_batch::DescentCursor;
 
 /// `cow_max_pin` value meaning "no snapshot is pinned": every row may be
 /// mutated in place.
@@ -67,6 +75,14 @@ pub(crate) const NO_PINS: u32 = u32::MAX;
 /// a doubling `Vec` already paid before this module existed.
 const FIRST_CHUNK_POW: u32 = 6;
 const FIRST_CHUNK: usize = 1 << FIRST_CHUNK_POW;
+
+/// `(chunk, offset)` of row `i` in the ladder layout (see [`ChunkedVec`]).
+#[inline]
+fn locate(i: usize) -> (usize, usize) {
+    let v = i + FIRST_CHUNK;
+    let k = usize::BITS - 1 - v.leading_zeros();
+    ((k - FIRST_CHUNK_POW) as usize, v ^ (1usize << k))
+}
 
 /// One fixed-size block of rows, shared between the live arena and any
 /// number of pinned snapshots.
@@ -126,16 +142,9 @@ impl<T: Copy> ChunkedVec<T> {
     }
 
     #[inline]
-    fn locate(i: usize) -> (usize, usize) {
-        let v = i + FIRST_CHUNK;
-        let k = usize::BITS - 1 - v.leading_zeros();
-        ((k - FIRST_CHUNK_POW) as usize, v ^ (1usize << k))
-    }
-
-    #[inline]
     pub fn get(&self, i: usize) -> &T {
         debug_assert!(i < self.len);
-        let (c, o) = Self::locate(i);
+        let (c, o) = locate(i);
         // SAFETY: the borrow of `self` keeps the writer from handing out
         // `&mut` aliases on this thread; cross-thread, see the `Chunk`
         // Sync justification (readers only ever touch immutable cells).
@@ -145,7 +154,7 @@ impl<T: Copy> ChunkedVec<T> {
     #[inline]
     pub fn get_mut(&mut self, i: usize) -> &mut T {
         debug_assert!(i < self.len);
-        let (c, o) = Self::locate(i);
+        let (c, o) = locate(i);
         // SAFETY: `&mut self` confines this to the single writer thread,
         // and the COW discipline guarantees the cell is not reachable
         // from any pinned snapshot (callers route through
@@ -158,7 +167,7 @@ impl<T: Copy> ChunkedVec<T> {
             self.chunks
                 .push(Chunk::filled(FIRST_CHUNK << self.chunks.len(), value));
         }
-        let (c, o) = Self::locate(self.len);
+        let (c, o) = locate(self.len);
         // SAFETY: the slot at `self.len` is beyond every snapshot's
         // captured length (lengths only grow, and a snapshot records the
         // length at publish), so no reader can reach it.
@@ -184,12 +193,20 @@ impl<T: Copy> ChunkedVec<T> {
     }
 
     /// Shares the current chunk table for a snapshot (cheap: one `Arc`
-    /// clone per chunk).
-    pub fn share(&self) -> SnapTable<T> {
-        SnapTable {
+    /// clone per chunk). The copy is read-only by convention: a snapshot
+    /// never writes through it, and the writer never pushes into it.
+    pub fn share(&self) -> Self {
+        ChunkedVec {
             chunks: self.chunks.clone(),
             len: self.len,
         }
+    }
+
+    /// Lends the rows to a reader for the borrow's lifetime (no `Arc`
+    /// clone).
+    #[inline]
+    pub fn rows(&self) -> Rows<'_, T> {
+        Rows(self)
     }
 }
 
@@ -214,22 +231,191 @@ impl<T> fmt::Debug for ChunkedVec<T> {
     }
 }
 
-/// A snapshot's immutable view of one shard-tier's rows: the chunk table
-/// and length captured at publish time.
-pub(crate) struct SnapTable<T> {
-    chunks: Vec<Arc<Chunk<T>>>,
-    len: usize,
+/// One shard tier's rows as a reader sees them: a borrowed chunk list
+/// and the number of rows valid in it.
+pub(crate) struct Rows<'a, T>(&'a ChunkedVec<T>);
+
+// Manual impls: the derives would demand `T: Copy` for a shared
+// reference.
+impl<T> Clone for Rows<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
 }
 
-impl<T: Copy> SnapTable<T> {
+impl<T> Copy for Rows<'_, T> {}
+
+impl<'a, T> Rows<'a, T> {
     #[inline]
-    fn get(&self, i: usize) -> T {
-        assert!(i < self.len, "snapshot row out of range");
-        let (c, o) = ChunkedVec::<T>::locate(i);
-        // SAFETY: rows reachable from a pinned snapshot are never
-        // mutated while the pin is alive — the writer copies them out
-        // (COW) instead — so this read cannot race a write.
-        unsafe { *self.chunks[c].cells[o].get() }
+    fn get(self, i: usize) -> &'a T {
+        let rows = self.0;
+        assert!(i < rows.len, "row out of range");
+        let (c, o) = locate(i);
+        // SAFETY: a view lends either the live arena's rows under a shared
+        // borrow of the arena — no `&mut` writer exists while it lives —
+        // or a snapshot's captured rows (its never-written shard copies),
+        // which the writer never mutates while the snapshot's pin is alive
+        // (it copies them out instead; the view borrows the snapshot, so
+        // the pin outlives the reference). The one row the writer updates
+        // in place, the root's, is never requested: `TreeView::node`
+        // refuses the root handle. Rows at or past `len` may be written by
+        // a concurrent `push`, and the assert above keeps them out of
+        // reach.
+        unsafe { &*rows.chunks[c].cells[o].get() }
+    }
+}
+
+/// A borrowed, read-only view of one tree's rows — the one source every
+/// read algorithm runs on: the [`DescentCursor`], the [`LeafIter`], the
+/// pre-order encoder and the uncached [`search`](Self::search).
+///
+/// Both sources build it the same way, from an array of shards that each
+/// hold a chunk list and a length per tier (node rows, leaf rows): the
+/// live tree lends its arena's shards for the view's lifetime (nothing is
+/// published, pinned or `Arc`-cloned), a [`Snapshot`] lends the shard
+/// copies it captured. Building a view stores one pointer per source, so
+/// even a single uncached probe pays almost nothing for it. The root
+/// node travels by value in both, because the writer mutates the root's
+/// spine cell in place (its row is COW-exempt), so a snapshot must never
+/// read it there. Reads dispatch statically: one concrete type, no
+/// per-node branching on where the rows came from.
+pub(crate) struct TreeView<'a, V: LogOdds> {
+    /// Indexed by shard id (8 branches + spine).
+    shards: &'a [ArenaShard<V>; NUM_SHARDS],
+    root: u32,
+    root_node: Node<V>,
+    pub resolved: &'a ResolvedParams<V>,
+    pub conv: &'a KeyConverter,
+}
+
+impl<V: LogOdds> Clone for TreeView<'_, V> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<V: LogOdds> Copy for TreeView<'_, V> {}
+
+impl<V: LogOdds> fmt::Debug for TreeView<'_, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TreeView")
+            .field("empty", &self.is_empty())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a, V: LogOdds> TreeView<'a, V> {
+    /// Builds a view from a tree's shards, its root handle ([`NIL`] when
+    /// empty) and the root node by value.
+    #[inline]
+    pub(crate) fn new(
+        shards: &'a [ArenaShard<V>; NUM_SHARDS],
+        root: u32,
+        root_node: Node<V>,
+        resolved: &'a ResolvedParams<V>,
+        conv: &'a KeyConverter,
+    ) -> Self {
+        TreeView {
+            shards,
+            root,
+            root_node,
+            resolved,
+            conv,
+        }
+    }
+
+    /// The root handle ([`NIL`] when the tree is empty).
+    #[inline]
+    pub fn root(&self) -> u32 {
+        self.root
+    }
+
+    /// True when the tree holds no observation.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.root == NIL
+    }
+
+    /// The root node, by value (meaningless when the view is empty).
+    #[inline]
+    pub fn root_node(&self) -> Node<V> {
+        self.root_node
+    }
+
+    /// The node at `h`, read from its row: depth 1‥15 handles. The root
+    /// is never read from its row — the writer updates that cell in
+    /// place — so walks start from [`Self::root_node`] instead.
+    #[inline]
+    pub fn node(&self, h: u32) -> Node<V> {
+        assert!(
+            h != self.root,
+            "the root is read by value, not from its row"
+        );
+        self.shards[shard_of(h)]
+            .node_table()
+            .get(row_of(h) as usize)[oct_of(h)]
+    }
+
+    /// Occupancy classification of the voxel at `key`, through the
+    /// uncached [`search`](Self::search).
+    #[inline]
+    pub fn occupancy(&self, key: VoxelKey) -> Occupancy {
+        match self.search(key, TREE_DEPTH) {
+            Some((v, _)) => self.resolved.classify(v),
+            None => Occupancy::Unknown,
+        }
+    }
+
+    /// The depth-16 voxel value at `h` (leaf-row handles).
+    #[inline]
+    pub fn leaf_value(&self, h: u32) -> V {
+        self.shards[shard_of(h)]
+            .leaf_table()
+            .get(row_of(h) as usize)[oct_of(h)]
+    }
+
+    /// Handle of child `pos` of `parent`, whose node `n` the caller
+    /// already holds: arithmetic only, no load.
+    #[inline]
+    pub fn child(&self, parent: u32, n: &Node<V>, pos: usize) -> u32 {
+        handle(child_shard_of(parent), n.row(), pos)
+    }
+
+    /// Searches for the node covering `key`, descending at most to
+    /// `depth`, and returns its value and the depth it was found at — the
+    /// one uncached descent behind
+    /// [`OccupancyOctree::search`](crate::OccupancyOctree::search),
+    /// [`OccupancyOctree::search_at_depth`](crate::OccupancyOctree::search_at_depth)
+    /// and [`Snapshot::search`], and the reference the cursor tests
+    /// compare against.
+    #[inline]
+    pub fn search(&self, key: VoxelKey, depth: u8) -> Option<(V, u8)> {
+        if self.is_empty() {
+            return None;
+        }
+        let mut node = self.root;
+        let mut n = self.root_node;
+        for d in 0..depth {
+            if n.is_leaf() {
+                // A pruned (or coarse) leaf covers the whole subtree.
+                return Some((n.value, d));
+            }
+            let pos = key.child_index_at(d).index();
+            if !n.has_child(pos) {
+                // The node has children, just not on this path: unobserved.
+                return None;
+            }
+            // One dependent load per level: the child handle is pure
+            // arithmetic on the node already in hand.
+            node = self.child(node, &n, pos);
+            if d + 1 == TREE_DEPTH {
+                // Reaching full depth means the walk stepped into a leaf
+                // row.
+                return Some((self.leaf_value(node), TREE_DEPTH));
+            }
+            n = self.node(node);
+        }
+        Some((n.value, depth))
     }
 }
 
@@ -387,10 +573,11 @@ pub struct SnapshotStats {
 /// Created by [`OccupancyOctree::publish_snapshot`]; cloning is one
 /// `Arc` bump. Every read — [`occupancy`](Self::occupancy), batched
 /// queries and ray casts through a [`reader`](Self::reader), leaf
-/// iteration — returns exactly what the live tree would have returned
-/// at the publish instant. Dropping the last clone unpins the epoch,
-/// letting the writer reclaim rows it copied out while the snapshot
-/// was alive.
+/// iteration, serialization — runs the live tree's own read code over
+/// the snapshot's frozen rows and returns exactly what the live tree
+/// would have returned at the publish instant. Dropping the last clone
+/// unpins the epoch, letting the writer reclaim rows it copied out while
+/// the snapshot was alive.
 ///
 /// [`OccupancyOctree`]: crate::OccupancyOctree
 /// [`OccupancyOctree::publish_snapshot`]: crate::OccupancyOctree::publish_snapshot
@@ -416,9 +603,9 @@ impl<V: LogOdds> fmt::Debug for Snapshot<V> {
 }
 
 struct SnapInner<V: LogOdds> {
-    /// Per-shard chunk tables, indexed by shard id (8 branches + spine).
-    node_tables: Vec<SnapTable<NodeRow<V>>>,
-    leaf_tables: Vec<SnapTable<LeafRow<V>>>,
+    /// Read-only copies of the tree's shards sharing their chunk tables,
+    /// indexed by shard id (8 branches + spine).
+    shards: [ArenaShard<V>; NUM_SHARDS],
     root: u32,
     /// The root node by value. The root's spine cell is the one location
     /// the writer mutates in place (its row is COW-exempt so the root
@@ -431,40 +618,6 @@ struct SnapInner<V: LogOdds> {
     params: OccupancyParams,
     epoch: u32,
     _pin: PinGuard,
-}
-
-impl<V: LogOdds> SnapInner<V> {
-    #[inline]
-    fn node(&self, h: u32) -> Node<V> {
-        if h == self.root {
-            return self.root_node;
-        }
-        self.node_tables[crate::arena::shard_of(h)].get(row_of(h) as usize)[oct_of(h)]
-    }
-
-    #[inline]
-    fn leaf_value(&self, h: u32) -> V {
-        self.leaf_tables[crate::arena::shard_of(h)].get(row_of(h) as usize)[oct_of(h)]
-    }
-
-    fn search(&self, key: VoxelKey) -> Option<(V, u8)> {
-        if self.root == NIL {
-            return None;
-        }
-        let mut node = self.root;
-        for d in 0..TREE_DEPTH {
-            let n = self.node(node);
-            if n.is_leaf() {
-                return Some((n.value, d));
-            }
-            let pos = key.child_index_at(d).index();
-            if !n.has_child(pos) {
-                return None;
-            }
-            node = handle(child_shard_of(node), n.row(), pos);
-        }
-        Some((self.leaf_value(node), TREE_DEPTH))
-    }
 }
 
 impl<V: LogOdds> Snapshot<V> {
@@ -483,16 +636,12 @@ impl<V: LogOdds> Snapshot<V> {
         } else {
             *arena.node(root)
         };
-        let (node_tables, leaf_tables) = arena
-            .shards()
-            .iter()
-            .map(|s| s.share_tables())
-            .unzip::<_, _, Vec<_>, Vec<_>>();
+        let live = arena.shards();
+        let shards = std::array::from_fn(|s| live[s].share());
         let pin = arena.publish_pin();
         Snapshot {
             inner: Arc::new(SnapInner {
-                node_tables,
-                leaf_tables,
+                shards,
                 root,
                 root_node,
                 conv,
@@ -502,6 +651,20 @@ impl<V: LogOdds> Snapshot<V> {
                 _pin: pin,
             }),
         }
+    }
+
+    /// The snapshot's row view, built the way the live tree builds its
+    /// own, from the captured shards.
+    #[inline]
+    pub(crate) fn view(&self) -> TreeView<'_, V> {
+        let inner = &*self.inner;
+        TreeView::new(
+            &inner.shards,
+            inner.root,
+            inner.root_node,
+            &inner.resolved,
+            &inner.conv,
+        )
     }
 
     /// The epoch this snapshot pins (the tree's publish count at
@@ -530,35 +693,11 @@ impl<V: LogOdds> Snapshot<V> {
         &self.inner.params
     }
 
-    /// Root handle for the serializer's pre-order walk.
-    pub(crate) fn root_handle(&self) -> u32 {
-        self.inner.root
-    }
-
-    /// The node at `h`, read from the frozen rows (root served by
-    /// value, since its live spine cell is COW-exempt).
-    pub(crate) fn node_at(&self, h: u32) -> Node<V> {
-        self.inner.node(h)
-    }
-
-    /// The depth-16 leaf value at `h`.
-    pub(crate) fn leaf_at(&self, h: u32) -> V {
-        self.inner.leaf_value(h)
-    }
-
-    /// Handle of `parent`'s child at octant `pos` (`n` is `parent`'s
-    /// node, passed in so callers walking the tree read each row once).
-    /// Lives here rather than in the serializer because composing
-    /// handles is confined to the arena-layer modules.
-    pub(crate) fn child_handle(&self, parent: u32, n: &Node<V>, pos: usize) -> u32 {
-        handle(child_shard_of(parent), n.row(), pos)
-    }
-
     /// Searches for the node covering `key` — same contract and result
     /// as [`OccupancyOctree::search`](crate::OccupancyOctree::search)
     /// on the live tree at publish time.
     pub fn search(&self, key: VoxelKey) -> Option<(V, u8)> {
-        self.inner.search(key)
+        self.view().search(key, TREE_DEPTH)
     }
 
     /// The log-odds value covering `key` as `f32`, if observed.
@@ -568,10 +707,7 @@ impl<V: LogOdds> Snapshot<V> {
 
     /// Occupancy classification of the voxel at `key`.
     pub fn occupancy(&self, key: VoxelKey) -> Occupancy {
-        match self.search(key) {
-            Some((v, _)) => self.inner.resolved.classify(v),
-            None => Occupancy::Unknown,
-        }
+        self.view().occupancy(key)
     }
 
     /// Occupancy classification of the voxel containing `point`.
@@ -584,21 +720,14 @@ impl<V: LogOdds> Snapshot<V> {
         Ok(self.occupancy(self.inner.conv.coord_to_key(point)?))
     }
 
-    /// Borrows the snapshot as a cached-descent [`SnapshotReader`] —
-    /// the read-surface workhorse for coherent probe streams (batched
-    /// queries, ray casts, collision sweeps).
-    pub fn reader(&self) -> SnapshotReader<'_, V> {
-        let mut path = [NIL; TREE_DEPTH as usize + 1];
-        path[0] = self.inner.root;
-        SnapshotReader {
-            inner: &self.inner,
-            path,
-            depth: 0,
-            prev: None,
-            walk: None,
-            order: Vec::new(),
-            counters: QueryCounters::default(),
-        }
+    /// Borrows the snapshot as a cached-descent [`DescentCursor`] — the
+    /// live tree's [`query_cursor`](crate::OccupancyOctree::query_cursor)
+    /// over the frozen rows, and the read-surface workhorse for coherent
+    /// probe streams (batched queries, ray casts, collision sweeps). Each
+    /// reader thread owns one; readers never synchronize with each other
+    /// or the writer.
+    pub fn reader(&self) -> DescentCursor<'_, V> {
+        DescentCursor::new(self.view())
     }
 
     /// Casts one query ray (convenience over [`Self::reader`]).
@@ -618,13 +747,21 @@ impl<V: LogOdds> Snapshot<V> {
             .cast_ray(origin, direction, max_range, ignore_unknown)
     }
 
-    /// Casts a batch of query rays through one cached-descent reader.
+    /// Casts a batch of query rays through one cached-descent reader,
+    /// returning results in input order — the contract of
+    /// [`OccupancyOctree::cast_rays`](crate::OccupancyOctree::cast_rays).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`KeyError`] in input order (a ray whose origin
+    /// is outside the map or whose direction is degenerate); no ray after
+    /// it is cast.
     pub fn cast_rays(
         &self,
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
-    ) -> Vec<Result<RayCastResult, KeyError>> {
+    ) -> Result<Vec<RayCastResult>, KeyError> {
         let mut reader = self.reader();
         rays.iter()
             .map(|&(origin, dir)| reader.cast_ray(origin, dir, max_range, ignore_unknown))
@@ -649,30 +786,14 @@ impl<V: LogOdds> Snapshot<V> {
     }
 
     /// Iterates over all leaves of the pinned map.
-    pub fn iter_leaves(&self) -> SnapLeafIter<'_, V> {
-        let mut stack = Vec::new();
-        if self.inner.root != NIL {
-            stack.push((self.inner.root, VoxelKey::new(0, 0, 0), 0u8));
-        }
-        SnapLeafIter {
-            inner: &self.inner,
-            bounds: None,
-            stack,
-        }
+    pub fn iter_leaves(&self) -> LeafIter<'_, V> {
+        LeafIter::new(self.view(), None)
     }
 
     /// Iterates the leaves whose regions intersect the key box
     /// `[min, max]` (inclusive, per axis).
-    pub fn iter_leaves_in_box(&self, min: VoxelKey, max: VoxelKey) -> SnapLeafIter<'_, V> {
-        let mut stack = Vec::new();
-        if self.inner.root != NIL {
-            stack.push((self.inner.root, VoxelKey::new(0, 0, 0), 0u8));
-        }
-        SnapLeafIter {
-            inner: &self.inner,
-            bounds: Some((min, max)),
-            stack,
-        }
+    pub fn iter_leaves_in_box(&self, min: VoxelKey, max: VoxelKey) -> LeafIter<'_, V> {
+        LeafIter::new(self.view(), Some((min, max)))
     }
 
     /// Iterates the leaves intersecting a metric box.
@@ -680,7 +801,7 @@ impl<V: LogOdds> Snapshot<V> {
     /// # Errors
     ///
     /// Returns [`KeyError`] when a corner of the box is outside the map.
-    pub fn iter_leaves_in_aabb(&self, aabb: &Aabb) -> Result<SnapLeafIter<'_, V>, KeyError> {
+    pub fn iter_leaves_in_aabb(&self, aabb: &Aabb) -> Result<LeafIter<'_, V>, KeyError> {
         let min = self.inner.conv.coord_to_key(aabb.min())?;
         let max = self.inner.conv.coord_to_key(aabb.max())?;
         Ok(self.iter_leaves_in_box(min, max))
@@ -693,231 +814,7 @@ impl<V: LogOdds> Snapshot<V> {
     ///
     /// [`OccupancyOctree::snapshot`]: crate::OccupancyOctree::snapshot
     pub fn canonical_leaves(&self) -> Vec<(VoxelKey, u8, f32)> {
-        let mut v: Vec<_> = self
-            .iter_leaves()
-            .map(|l| (l.key, l.depth, l.logodds))
-            .collect();
-        v.sort_by_key(|&(key, depth, _)| (key, depth));
-        v
-    }
-}
-
-/// A cached-descent cursor over a [`Snapshot`] — the snapshot mirror of
-/// [`DescentCursor`](crate::DescentCursor), with the same amortized-O(1)
-/// probe cost on coherent streams and the same bit-identical results.
-/// Each reader thread owns one; readers never synchronize with each
-/// other or the writer.
-pub struct SnapshotReader<'s, V: LogOdds> {
-    inner: &'s SnapInner<V>,
-    path: [u32; TREE_DEPTH as usize + 1],
-    depth: u8,
-    prev: Option<VoxelKey>,
-    walk: Option<RayWalk>,
-    /// Morton scratch for [`Self::query_batch`].
-    order: Vec<(u64, u32)>,
-    counters: QueryCounters,
-}
-
-impl<V: LogOdds> fmt::Debug for SnapshotReader<'_, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapshotReader")
-            .field("epoch", &self.inner.epoch)
-            .field("depth", &self.depth)
-            .field("prev", &self.prev)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V: LogOdds> SnapshotReader<'_, V> {
-    /// Searches for the node covering `key`, resuming from the deepest
-    /// level shared with the previously probed key.
-    pub fn search(&mut self, key: VoxelKey) -> Option<(V, u8)> {
-        self.counters.probes += 1;
-        if self.inner.root == NIL {
-            return None;
-        }
-        let resume = match self.prev {
-            Some(p) => p.common_prefix_depth(key).min(self.depth),
-            None => 0,
-        } as usize;
-        self.counters.reused_levels += resume as u64;
-        self.prev = Some(key);
-
-        let mut node = self.path[resume];
-        for d in resume..TREE_DEPTH as usize {
-            let n = self.inner.node(node);
-            if n.is_leaf() {
-                self.depth = d as u8;
-                return Some((n.value, d as u8));
-            }
-            self.counters.node_visits += 1;
-            let pos = key.child_index_at(d as u8).index();
-            if !n.has_child(pos) {
-                self.depth = d as u8;
-                return None;
-            }
-            node = handle(child_shard_of(node), n.row(), pos);
-            self.path[d + 1] = node;
-        }
-        self.depth = TREE_DEPTH;
-        Some((self.inner.leaf_value(node), TREE_DEPTH))
-    }
-
-    /// Occupancy classification of the voxel at `key`.
-    pub fn occupancy(&mut self, key: VoxelKey) -> Occupancy {
-        match self.search(key) {
-            Some((v, _)) => self.inner.resolved.classify(v),
-            None => Occupancy::Unknown,
-        }
-    }
-
-    #[inline]
-    fn probe(&mut self, key: VoxelKey) -> (Occupancy, f32) {
-        match self.search(key) {
-            Some((v, _)) => (self.inner.resolved.classify(v), v.to_f32()),
-            None => (Occupancy::Unknown, 0.0),
-        }
-    }
-
-    /// Casts a query ray — same contract and result as
-    /// [`OccupancyOctree::cast_ray`](crate::OccupancyOctree::cast_ray)
-    /// on the live tree at publish time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when the origin is outside the map or the
-    /// direction is degenerate.
-    pub fn cast_ray(
-        &mut self,
-        origin: Point3,
-        direction: Point3,
-        max_range: f64,
-        ignore_unknown: bool,
-    ) -> Result<RayCastResult, KeyError> {
-        self.counters.rays += 1;
-        let conv = self.inner.conv;
-        let mut walk = self.walk.take().unwrap_or_else(RayWalk::idle);
-        let res = cast_ray_resuming(
-            &conv,
-            &mut walk,
-            origin,
-            direction,
-            max_range,
-            ignore_unknown,
-            |key| self.probe(key),
-        );
-        self.walk = Some(walk);
-        res
-    }
-
-    /// Sphere collision probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when the probe region leaves the map.
-    pub fn collides_sphere(&mut self, center: Point3, radius: f64) -> Result<bool, KeyError> {
-        let conv = self.inner.conv;
-        collides_sphere_with(&conv, center, radius, |key| self.occupancy(key))
-    }
-
-    /// Classifies `keys` into `results` through the Morton-coalesced
-    /// batch engine — same results as
-    /// [`OccupancyOctree::query_batch`](crate::OccupancyOctree::query_batch)
-    /// at publish time.
-    pub fn query_batch(&mut self, keys: &[VoxelKey], results: &mut Vec<Occupancy>) {
-        results.clear();
-        results.resize(keys.len(), Occupancy::Unknown);
-        self.counters.batch_queries += keys.len() as u64;
-        let mut order = std::mem::take(&mut self.order);
-        let mut coalesced = 0u64;
-        serve_morton_coalesced(
-            keys,
-            &mut order,
-            results,
-            |key| self.occupancy(key),
-            || coalesced += 1,
-        );
-        self.counters.batch_coalesced += coalesced;
-        self.order = order;
-    }
-
-    /// The read-side counters this reader accumulated.
-    pub fn counters(&self) -> &QueryCounters {
-        &self.counters
-    }
-}
-
-/// Depth-first leaf iterator over a [`Snapshot`], optionally bounded to
-/// a key box — the snapshot mirror of [`LeafIter`](crate::LeafIter) /
-/// [`LeafInBoxIter`](crate::LeafInBoxIter).
-pub struct SnapLeafIter<'s, V: LogOdds> {
-    inner: &'s SnapInner<V>,
-    bounds: Option<(VoxelKey, VoxelKey)>,
-    stack: Vec<(u32, VoxelKey, u8)>,
-}
-
-impl<V: LogOdds> fmt::Debug for SnapLeafIter<'_, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SnapLeafIter")
-            .field("epoch", &self.inner.epoch)
-            .field("bounds", &self.bounds)
-            .field("pending", &self.stack.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V: LogOdds> Iterator for SnapLeafIter<'_, V> {
-    type Item = LeafInfo;
-
-    fn next(&mut self) -> Option<LeafInfo> {
-        while let Some((node, key, depth)) = self.stack.pop() {
-            if let Some((min, max)) = self.bounds {
-                let span = 1u32 << (TREE_DEPTH - depth);
-                let overlaps = |anchor: u16, lo: u16, hi: u16| {
-                    let a = anchor as u32;
-                    a <= hi as u32 && a + span > lo as u32
-                };
-                if !(overlaps(key.x, min.x, max.x)
-                    && overlaps(key.y, min.y, max.y)
-                    && overlaps(key.z, min.z, max.z))
-                {
-                    continue;
-                }
-            }
-            if depth == TREE_DEPTH {
-                let v = self.inner.leaf_value(node);
-                return Some(LeafInfo {
-                    key,
-                    depth,
-                    logodds: v.to_f32(),
-                    occupancy: self.inner.resolved.classify(v),
-                });
-            }
-            let n = self.inner.node(node);
-            if n.is_leaf() {
-                return Some(LeafInfo {
-                    key,
-                    depth,
-                    logodds: n.value.to_f32(),
-                    occupancy: self.inner.resolved.classify(n.value),
-                });
-            }
-            let bit = TREE_DEPTH - 1 - depth;
-            let shard = child_shard_of(node);
-            let row = n.row();
-            for pos in (0..8usize).rev() {
-                if n.has_child(pos) {
-                    let child_key = VoxelKey::new(
-                        key.x | (((pos & 1) as u16) << bit),
-                        key.y | ((((pos >> 1) & 1) as u16) << bit),
-                        key.z | ((((pos >> 2) & 1) as u16) << bit),
-                    );
-                    self.stack
-                        .push((handle(shard, row, pos), child_key, depth + 1));
-                }
-            }
-        }
-        None
+        self.iter_leaves().canonical()
     }
 }
 

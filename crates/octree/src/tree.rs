@@ -13,9 +13,9 @@ use rustc_hash::FxHashSet;
 use crate::arena::{handle, Arena, NodeStore};
 use crate::batch::BatchScratch;
 use crate::counters::{OpCounters, QueryCounters};
-use crate::node::NIL;
+use crate::node::{Node, NIL};
 use crate::query_batch::QueryScratch;
-use crate::snapshot::{Snapshot, SnapshotStats};
+use crate::snapshot::{Snapshot, SnapshotStats, TreeView};
 use crate::walk::WalkCtx;
 
 /// A probabilistic occupancy octree with OctoMap semantics, generic over
@@ -39,7 +39,7 @@ pub struct OccupancyOctree<V: LogOdds> {
     pub(crate) scratch_integrator: Option<ScanIntegrator>,
     pub(crate) scratch_pipeline: Option<ScanPipeline>,
     pub(crate) scratch_updates: Vec<VoxelUpdate>,
-    pub(crate) batch_scratch: BatchScratch<V>,
+    pub(crate) batch_scratch: BatchScratch,
     pub(crate) query_counters: QueryCounters,
     pub(crate) query_scratch: QueryScratch,
     // Fx instead of SipHash: change tracking inserts a structured key per
@@ -329,13 +329,32 @@ impl<V: LogOdds> OccupancyOctree<V> {
         self.arena.validate_reachable(self.root);
     }
 
+    /// The tree's row view: every read algorithm (cursor, leaf iterator,
+    /// encoder, uncached search) runs on it, exactly as it runs on a
+    /// [`Snapshot`]'s. Borrows the arena; publishes and pins nothing.
+    #[inline]
+    pub(crate) fn view(&self) -> TreeView<'_, V> {
+        let root_node = if self.root == NIL {
+            Node::leaf(V::ZERO)
+        } else {
+            *self.arena.node(self.root)
+        };
+        TreeView::new(
+            self.arena.shards(),
+            self.root,
+            root_node,
+            &self.resolved,
+            &self.conv,
+        )
+    }
+
     /// Searches for the node covering `key`, returning its log-odds value
     /// and the depth at which it was found (≤ 16; less than 16 for pruned
     /// leaves covering the key).
     ///
     /// Returns `None` when the voxel has never been observed.
     pub fn search(&self, key: VoxelKey) -> Option<(V, u8)> {
-        self.search_at_depth(key, TREE_DEPTH)
+        self.view().search(key, TREE_DEPTH)
     }
 
     /// Multi-resolution search: descends at most to `depth`.
@@ -345,32 +364,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// Panics if `depth > TREE_DEPTH`.
     pub fn search_at_depth(&self, key: VoxelKey, depth: u8) -> Option<(V, u8)> {
         assert!(depth <= TREE_DEPTH, "depth {depth} exceeds {TREE_DEPTH}");
-        if self.root == NIL {
-            return None;
-        }
-        let mut node = self.root;
-        for d in 0..depth {
-            let n = *self.arena.node(node);
-            if n.is_leaf() {
-                // A pruned (or coarse) leaf covers the whole subtree.
-                return Some((n.value, d));
-            }
-            let pos = key.child_index_at(d).index();
-            if !n.has_child(pos) {
-                // The node has children, just not on this path: unobserved.
-                return None;
-            }
-            // One dependent load per level: the child handle is pure
-            // arithmetic on the node already in hand.
-            node = handle(self.arena.child_shard(node), n.row(), pos);
-        }
-        // Reaching full depth means the walk stepped into a leaf row.
-        let value = if depth == TREE_DEPTH {
-            self.arena.leaf_value(node)
-        } else {
-            self.arena.node(node).value
-        };
-        Some((value, depth))
+        self.view().search(key, depth)
     }
 
     /// The log-odds value covering `key` as `f32`, if observed.
@@ -380,10 +374,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
 
     /// Occupancy classification of the voxel at `key`.
     pub fn occupancy(&self, key: VoxelKey) -> Occupancy {
-        match self.search(key) {
-            Some((v, _)) => self.resolved.classify(v),
-            None => Occupancy::Unknown,
-        }
+        self.view().occupancy(key)
     }
 
     /// Occupancy classification of the voxel containing `point`.

@@ -128,18 +128,18 @@ impl<S: NodeStore<V>, V: LogOdds, C: ChangeLog> WalkCtx<'_, S, V, C> {
         self.replay_leaf(leaf, key, just_created, deltas.iter().copied())
     }
 
-    /// [`Self::apply_leaf_deltas`] over a bit-encoded hit/miss sequence
-    /// (the batch engine scatters one byte per update instead of a full
-    /// log-odds value; see the `batch` module).
+    /// [`Self::apply_leaf_deltas`] over a bit-encoded hit/miss sequence,
+    /// decoded against the resolved hit/miss deltas (the batch engine
+    /// scatters one byte per update instead of a full log-odds value; see
+    /// the `batch` module).
     pub fn apply_leaf_bits(
         &mut self,
         leaf: u32,
         key: VoxelKey,
         bits: &[u8],
-        hit: V,
-        miss: V,
         just_created: bool,
     ) -> V {
+        let (hit, miss) = (self.resolved.hit, self.resolved.miss);
         if self.changed.is_none() {
             // Lane-friendly replay for the common no-change-detection
             // case: the hit/miss branch becomes a two-entry table index

@@ -7,8 +7,8 @@
 //! `occupancy_batch` per path (Morton-coalesced cached descent on the
 //! software tree, the voxel query unit's register file on the
 //! accelerator), one `cast_rays` fan for the virtual bumper, sphere
-//! probes riding the same cached-descent cursors — the same `QueryView`
-//! API either way.
+//! probes riding the same cached-descent cursors — the same
+//! `OccupancyMap` query methods either way.
 //!
 //! ```sh
 //! cargo run --release --example collision_detection

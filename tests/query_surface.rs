@@ -8,7 +8,7 @@
 
 use omu::accel::OmuConfig;
 use omu::geometry::{KeyConverter, Occupancy, Point3, PointCloud, Scan, VoxelKey, TREE_DEPTH};
-use omu::map::{Backend, Engine, MapBuilder, OccupancyMap};
+use omu::map::{Backend, Engine, MapBuilder, MapError, OccupancyMap};
 use omu::octree::RayCastResult;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -239,7 +239,10 @@ proptest! {
     // per-probe path on every backend, with pruning on and off, for any
     // input order: `occupancy_batch_keys` vs per-key `occupancy`, and
     // cached `cast_ray` / batched `cast_rays` vs a reference cast that
-    // probes every DDA step through the scalar path.
+    // probes every DDA step through the scalar path. On the software
+    // backends an epoch snapshot published after those answers must keep
+    // giving them while the live map takes one more scan: the snapshot
+    // reads through the same cursor and leaf walk, over its frozen rows.
     #[test]
     fn batched_queries_bit_identical_to_per_probe(seed in any::<u64>(), pruning in any::<bool>()) {
         let scans = random_map_scans(seed);
@@ -251,6 +254,12 @@ proptest! {
             MapBuilder::new(RES)
                 .pruning(pruning)
                 .engine(Engine::Sharded { shards: 4 })
+                .build()
+                .unwrap(),
+            // Software, fixed point.
+            MapBuilder::new(RES)
+                .pruning(pruning)
+                .backend(Backend::SoftwareFixed)
                 .build()
                 .unwrap(),
             // Accelerator voxel query unit.
@@ -284,12 +293,13 @@ proptest! {
             let keys = shuffled(keys, seed);
 
             let expected: Vec<Occupancy> = keys.iter().map(|&k| map.occupancy(k)).collect();
-            let got = map.query().occupancy_batch_keys(&keys);
+            let got = map.occupancy_batch_keys(&keys);
             prop_assert_eq!(&got, &expected, "{} ({}): occupancy_batch_keys", name, engine);
 
             // Cached and batched ray casting vs the per-probe reference.
             let origin = scans[0].origin;
             let conv = *map.converter();
+            let mut live_rays = Vec::new();
             for dir in ray_directions(seed) {
                 for ignore in [true, false] {
                     let reference = omu::octree::cast_ray_with(
@@ -307,6 +317,7 @@ proptest! {
                         cached, reference,
                         "{} ({}): cast_ray {} ignore={}", name, engine, dir, ignore
                     );
+                    live_rays.push((dir, ignore, cached));
                 }
             }
             let rays: Vec<(Point3, Point3)> =
@@ -317,6 +328,39 @@ proptest! {
                 .collect();
             let batch = map.cast_rays(&rays, max_range, false).unwrap();
             prop_assert_eq!(&batch, &singles, "{} ({}): cast_rays", name, engine);
+
+            let lo = conv.coord_to_key(Point3::new(-1.5, -1.5, -0.6)).unwrap();
+            let hi = conv.coord_to_key(Point3::new(1.5, 1.5, 0.6)).unwrap();
+            let live_leaves = map.leaves_in_box(lo, hi);
+            let snap = match map.publish_snapshot() {
+                Ok(snap) => snap,
+                // The accelerator model serves no snapshots.
+                Err(MapError::Unsupported { .. }) => continue,
+                Err(e) => panic!("{name}: publish_snapshot: {e}"),
+            };
+            map.insert(&random_map_scans(seed ^ 0x5CA7)[0]).unwrap();
+            prop_assert!(
+                map.leaves_in_box(lo, hi) != live_leaves,
+                "{} ({}): the extra scan must move the live map", name, engine
+            );
+            prop_assert_eq!(
+                snap.occupancy_batch_keys(&keys), expected,
+                "{} ({}): snapshot occupancy_batch_keys", name, engine
+            );
+            for (dir, ignore, want) in live_rays {
+                prop_assert_eq!(
+                    snap.cast_ray(origin, dir, max_range, ignore).unwrap(), want,
+                    "{} ({}): snapshot cast_ray {} ignore={}", name, engine, dir, ignore
+                );
+            }
+            prop_assert_eq!(
+                snap.cast_rays(&rays, max_range, false).unwrap(), batch,
+                "{} ({}): snapshot cast_rays", name, engine
+            );
+            prop_assert_eq!(
+                snap.leaves_in_box(lo, hi), live_leaves,
+                "{} ({}): snapshot leaves_in_box", name, engine
+            );
         }
     }
 }
