@@ -9,7 +9,10 @@
 //!   [`Snapshot`](omu_octree::Snapshot). The snapshot rides the same
 //!   sibling-row arena (shared chunk tables, no copies on the read
 //!   side), so its single-reader throughput must stay within a few
-//!   percent of the direct path; CI fails the build below 0.9×.
+//!   percent of the direct path; CI fails the build below 0.9×. The two
+//!   are timed in interleaved pairs (which side goes first alternates),
+//!   and the guarded ratio is the median of the per-pair ratios, so host
+//!   drift over the stage moves both sides of a pair alike.
 //! - **publish** — snapshot-publish latency on a growing map: one
 //!   publish per integrated scan, holding the latest snapshot pinned the
 //!   whole time (the serving steady state), so every scan's writes pay
@@ -41,6 +44,8 @@ use rand::{Rng, SeedableRng};
 const PROBE_KEYS: usize = 100_000;
 /// Read-path repetitions per timed run.
 const READ_REPS: usize = 10;
+/// Interleaved direct/snapshot run pairs behind the guarded ratio.
+const READ_PAIRS: usize = 11;
 /// Per-reader snapshot-grab + full-batch probe repetitions.
 const SERVICE_REPS: usize = 20;
 /// Dataset passes the service writer streams during the reader stage.
@@ -61,24 +66,25 @@ impl Measurement {
     }
 }
 
-/// Best-of-5 timing of `run`, which returns the probe count.
-fn measure(stage: &'static str, engine: &str, mut run: impl FnMut() -> u64) -> Measurement {
-    let mut best: Option<Measurement> = None;
-    for _ in 0..5 {
-        let start = Instant::now();
-        let probes = run();
-        let seconds = start.elapsed().as_secs_f64();
-        let m = Measurement {
-            stage,
-            engine: engine.to_owned(),
-            probes,
-            seconds,
-        };
-        if best.as_ref().is_none_or(|b| m.seconds < b.seconds) {
-            best = Some(m);
+/// Seconds for `READ_REPS` passes over `keys` through `occupancy`.
+fn time_reads(keys: &[VoxelKey], occupancy: impl Fn(VoxelKey) -> Occupancy) -> f64 {
+    let start = Instant::now();
+    let mut occupied = 0usize;
+    for _ in 0..READ_REPS {
+        for &k in keys {
+            if occupancy(k) == Occupancy::Occupied {
+                occupied += 1;
+            }
         }
     }
-    best.expect("five repetitions ran")
+    std::hint::black_box(occupied);
+    start.elapsed().as_secs_f64()
+}
+
+/// The median of `xs` (upper median for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn json_entry(m: &Measurement) -> String {
@@ -139,44 +145,42 @@ fn main() {
 
     let mut results = Vec::new();
 
-    // --- read_path: direct `&self` reads vs pinned-snapshot reads. ---
-    results.push(measure("read_path", "direct", || {
-        let mut occupied = 0usize;
-        for _ in 0..READ_REPS {
-            for &k in &keys {
-                if tree.occupancy(k) == Occupancy::Occupied {
-                    occupied += 1;
-                }
-            }
-        }
-        std::hint::black_box(occupied);
-        (READ_REPS * keys.len()) as u64
-    }));
+    // --- read_path: direct `&self` reads vs pinned-snapshot reads, in
+    // interleaved pairs; the ratio is the median of the per-pair ratios.
     let snap = tree.publish_snapshot();
-    results.push(measure("read_path", "snapshot", || {
-        let mut occupied = 0usize;
-        for _ in 0..READ_REPS {
-            for &k in &keys {
-                if snap.occupancy(k) == Occupancy::Occupied {
-                    occupied += 1;
-                }
-            }
-        }
-        std::hint::black_box(occupied);
-        (READ_REPS * keys.len()) as u64
-    }));
+    let mut direct_secs = Vec::with_capacity(READ_PAIRS);
+    let mut snapshot_secs = Vec::with_capacity(READ_PAIRS);
+    let mut ratios = Vec::with_capacity(READ_PAIRS);
+    let direct = || time_reads(&keys, |k| tree.occupancy(k));
+    let snapshot = || time_reads(&keys, |k| snap.occupancy(k));
+    for pair in 0..READ_PAIRS {
+        let (d, s) = if pair % 2 == 0 {
+            let d = direct();
+            (d, snapshot())
+        } else {
+            let s = snapshot();
+            (direct(), s)
+        };
+        // Snapshot throughput over direct throughput, for equal probes.
+        ratios.push(d / s);
+        direct_secs.push(d);
+        snapshot_secs.push(s);
+    }
     drop(snap);
-    let rate_of = |results: &[Measurement], stage: &str, engine: &str| {
-        results
-            .iter()
-            .find(|m| m.stage == stage && m.engine == engine)
-            .expect("measured stage/engine")
-            .probes_per_sec()
-    };
-    let direct_rate = rate_of(&results, "read_path", "direct");
-    let snapshot_rate = rate_of(&results, "read_path", "snapshot");
-    let snapshot_vs_direct = snapshot_rate / direct_rate;
-    eprintln!("snapshot/direct single-reader read throughput: {snapshot_vs_direct:.3}x");
+    let snapshot_vs_direct = median(ratios);
+    let read_probes = (READ_REPS * keys.len()) as u64;
+    for (engine, secs) in [("direct", direct_secs), ("snapshot", snapshot_secs)] {
+        results.push(Measurement {
+            stage: "read_path",
+            engine: engine.to_owned(),
+            probes: read_probes,
+            seconds: median(secs),
+        });
+    }
+    eprintln!(
+        "snapshot/direct single-reader read throughput: {snapshot_vs_direct:.3}x \
+         (median of {READ_PAIRS} interleaved pairs)"
+    );
 
     // --- publish: latency of publish_snapshot in the serving steady
     // state (latest snapshot held pinned while the writer streams). ---

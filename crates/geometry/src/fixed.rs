@@ -101,6 +101,11 @@ impl LogOdds for FixedLogOdds {
     fn add(self, delta: Self) -> Self {
         self.saturating_add(delta)
     }
+
+    #[inline]
+    fn same_bits(self, other: Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
 }
 
 impl fmt::Display for FixedLogOdds {

@@ -93,6 +93,11 @@ pub trait LogOdds:
     /// Adds `delta`, saturating at the representation's limits.
     fn add(self, delta: Self) -> Self;
 
+    /// Bit-for-bit equality. Unlike `==` it tells `+0.0` from `-0.0` and
+    /// finds a NaN equal to itself, so it says exactly when an update left
+    /// a stored value unchanged.
+    fn same_bits(self, other: Self) -> bool;
+
     /// Clamps into `[min, max]`.
     #[inline]
     fn clamp_to(self, min: Self, max: Self) -> Self {
@@ -132,6 +137,11 @@ impl LogOdds for f32 {
     #[inline]
     fn add(self, delta: f32) -> f32 {
         self + delta
+    }
+
+    #[inline]
+    fn same_bits(self, other: f32) -> bool {
+        self.to_bits() == other.to_bits()
     }
 }
 
@@ -319,6 +329,16 @@ mod tests {
             v = r.update(v, false);
         }
         assert_eq!(v, -2.0, "saturates at clamp_min");
+    }
+
+    #[test]
+    fn same_bits_compares_bit_patterns() {
+        assert!(1.5f32.same_bits(1.5));
+        assert!(!0.0f32.same_bits(-0.0), "signed zeros differ in bits");
+        assert!(f32::NAN.same_bits(f32::NAN), "a NaN matches itself");
+        let q = crate::FixedLogOdds::from_bits(-7);
+        assert!(q.same_bits(q));
+        assert!(!q.same_bits(crate::FixedLogOdds::from_bits(7)));
     }
 
     #[test]

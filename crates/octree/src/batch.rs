@@ -8,14 +8,23 @@
 //!
 //! 1. **coalesces** the batch by voxel key in one hashed group-by pass
 //!    (scan workloads revisit the same cells constantly — on the
-//!    corridor dataset over 99 % of updates join an existing group),
-//!    preserving each voxel's update order, which matters because
-//!    clamped log-odds additions do not commute once saturated;
+//!    corridor dataset over 99 % of updates join an existing group) and
+//!    keeps each voxel's sequence in **run-length** form: a miss only
+//!    bumps its group's pending-miss counter, and a hit (2–5 % of a raywise
+//!    scan's updates) appends one `(group, misses before it)` record and
+//!    resets the counter. A counting sort of the hit records by group then
+//!    hands every voxel its sequence `M^a₁ H M^a₂ H … M^trailing` in
+//!    arrival order, which matters because clamped log-odds additions do
+//!    not commute once saturated;
 //! 2. sorts only the *unique* keys by Morton code — orders of magnitude
 //!    fewer elements than sorting the raw update stream;
 //! 3. walks the tree with a **cached descent**: consecutive sorted keys
 //!    share a root-path prefix, so only the changed suffix is descended,
-//!    and each group's whole delta sequence replays on the leaf in hand;
+//!    and each group's runs replay on the leaf in hand. A miss run stops
+//!    at the first miss that leaves the value bit-for-bit unchanged (a
+//!    free voxel pinned at `clamp_min` ignores further misses, and OctoMap's
+//!    clamped update is a function of the value alone), so a saturated
+//!    voxel costs one step per run, not one per update;
 //! 4. **defers parent refresh and pruning**: a subtree's inner nodes are
 //!    finished exactly once, when the sorted walk exits the subtree,
 //!    instead of once per update.
@@ -49,8 +58,13 @@ fn packed_key(key: VoxelKey) -> u64 {
 }
 
 /// Sentinel id marking an empty [`GroupTable`] slot (batches are capped
-/// at `u32::MAX` updates, so no real group reaches it).
+/// at [`MAX_BATCH_UPDATES`], so no real group reaches it).
 const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Most updates one batch may hold: group ids, miss counters and hit
+/// offsets are all `u32`, and every group id must stay below
+/// [`EMPTY_SLOT`].
+const MAX_BATCH_UPDATES: usize = EMPTY_SLOT as usize;
 
 /// The hottest structure of the batch engine: a packed-key → group-id
 /// map probed once per update. A purpose-built open-addressed table with
@@ -137,63 +151,118 @@ impl GroupTable {
 }
 
 /// Reusable group-by buffers, owned by the tree so steady-state batches
-/// allocate nothing.
+/// allocate nothing. Nothing here grows per update except `hits`, one
+/// record per hit.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchScratch {
     /// Packed voxel key → group id.
-    pub(crate) group_of: GroupTable,
+    group_of: GroupTable,
+    /// Updates pushed into the current batch.
+    updates: usize,
     /// Per group: `(morton, key)`.
     pub(crate) keys: Vec<(u64, VoxelKey)>,
-    /// Per group: range start in `bits` (built from counts).
-    pub(crate) starts: Vec<u32>,
-    /// Per group: scatter cursor during grouping, then range end.
-    pub(crate) cursors: Vec<u32>,
-    /// Bit-encoded hit/miss sequences, grouped by key, per-key arrival
-    /// order preserved. One byte per update instead of a log-odds value:
-    /// the scatter pass is the batch engine's main cache-miss producer,
-    /// so shrinking its element 4× is a measurable engine-row win.
-    pub(crate) bits: Vec<u8>,
-    /// Per update: its group id (avoids a second hash lookup in the
-    /// scatter pass).
-    pub(crate) ids: Vec<u32>,
+    /// Per group: misses since its last hit — once the batch is grouped,
+    /// its trailing miss run.
+    misses: Vec<u32>,
+    /// Per hit, in arrival order: `(group, misses of that group since its
+    /// previous hit)`.
+    hits: Vec<(u32, u32)>,
+    /// Per group `g`: its runs are `runs[hit_starts[g]..hit_starts[g + 1]]`.
+    hit_starts: Vec<u32>,
+    /// The miss count before each hit, counting-sorted by group, arrival
+    /// order kept within a group.
+    runs: Vec<u32>,
     /// Group ids sorted by Morton code.
     pub(crate) order: Vec<u32>,
+}
+
+impl BatchScratch {
+    fn clear(&mut self) {
+        self.group_of.clear();
+        self.updates = 0;
+        self.keys.clear();
+        self.misses.clear();
+        self.hits.clear();
+        self.order.clear();
+    }
+
+    /// Stable counting sort of the hit records by group, so that each
+    /// group's miss runs sit contiguously in `runs`, in arrival order.
+    fn sort_hits_by_group(&mut self) {
+        let starts = &mut self.hit_starts;
+        starts.clear();
+        starts.resize(self.keys.len() + 2, 0);
+        // Count group g's hits in `starts[g + 2]`; after the prefix sum
+        // `starts[g + 1]` is where g's runs begin. Scattering with it as
+        // g's cursor leaves it at g's end, so afterwards
+        // `starts[g]..starts[g + 1]` is g's range.
+        for &(g, _) in &self.hits {
+            starts[g as usize + 2] += 1;
+        }
+        for i in 2..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        self.runs.clear();
+        self.runs.resize(self.hits.len(), 0);
+        for &(g, misses) in &self.hits {
+            let cursor = &mut starts[g as usize + 1];
+            self.runs[*cursor as usize] = misses;
+            *cursor += 1;
+        }
+    }
+
+    /// Group `id`'s sequence in run-length form: the misses before each of
+    /// its hits, in arrival order, and its trailing misses.
+    #[inline]
+    pub(crate) fn runs_of(&self, id: u32) -> (&[u32], u32) {
+        let id = id as usize;
+        let range = self.hit_starts[id] as usize..self.hit_starts[id + 1] as usize;
+        (&self.runs[range], self.misses[id])
+    }
 }
 
 /// The receiving end of
 /// [`apply_update_stream`](OccupancyOctree::apply_update_stream): a
 /// concrete (monomorphizable) sink, so the streaming group-by inlines
 /// into the emitter's hot loop — a `dyn FnMut` here would cost an
-/// indirect call per update.
+/// indirect call per update. The slice entry points push through it too.
 #[derive(Debug)]
 pub struct UpdateSink<'a> {
     scratch: &'a mut BatchScratch,
 }
 
 impl UpdateSink<'_> {
-    /// Feeds one hit/miss update into the streaming batch.
+    /// Feeds one hit/miss update into the batch: one group-table lookup,
+    /// then a miss bumps its voxel's pending-miss counter, and a hit
+    /// records the misses before it and resets the counter.
     ///
     /// # Panics
     ///
-    /// Panics when the stream exceeds `u32::MAX / 2` updates.
+    /// Panics when the batch exceeds `u32::MAX` updates.
     #[inline]
     pub fn push(&mut self, u: VoxelUpdate) {
         let scratch = &mut *self.scratch;
         assert!(
-            scratch.ids.len() < (u32::MAX >> 1) as usize,
+            scratch.updates < MAX_BATCH_UPDATES,
             "batch too large to index with u32"
         );
+        scratch.updates += 1;
         let new_id = scratch.keys.len() as u32;
         let id = match scratch.group_of.get_or_insert(packed_key(u.key), new_id) {
             Some(existing) => existing,
             None => {
                 scratch.keys.push((u.key.morton_code(), u.key));
-                scratch.cursors.push(0);
+                scratch.misses.push(0);
                 new_id
             }
         };
-        scratch.cursors[id as usize] += 1;
-        scratch.ids.push((id << 1) | u32::from(u.hit));
+        let misses = &mut scratch.misses[id as usize];
+        if u.hit {
+            scratch.hits.push((id, *misses));
+            *misses = 0;
+        } else {
+            *misses += 1;
+        }
     }
 }
 
@@ -255,11 +324,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
     /// # }
     /// ```
     pub fn apply_update_batch(&mut self, updates: &[VoxelUpdate]) -> BatchStats {
-        self.apply_batch_with(updates, None)
-            // omu-lint: allow(no-panic) — infallible: `shards: None` selects
-            // the sequential walk, which spawns no workers and so cannot
-            // report a `TaskPanic`.
-            .expect("the sequential walk spawns no workers")
+        self.apply_update_stream(|sink| updates.iter().for_each(|&u| sink.push(u)))
+            .1
     }
 
     /// [`apply_update_batch`](Self::apply_update_batch) with the tree walk
@@ -280,107 +346,19 @@ impl<V: LogOdds> OccupancyOctree<V> {
         updates: &[VoxelUpdate],
         shards: usize,
     ) -> Result<BatchStats, TaskPanic> {
-        self.apply_batch_with(updates, Some(shards))
-    }
-
-    /// The batch engine core: hashed group-by-key, Morton sort of the
-    /// unique keys, then one cached-descent walk replaying each group's
-    /// hit/miss sequence with deferred finishing — sequential
-    /// (`parallel_shards: None`) or subtree-sharded across threads. The
-    /// scatter stores one byte per update and never materializes a
-    /// log-odds delta; the walk decodes the bytes against the resolved
-    /// hit/miss deltas at replay time.
-    fn apply_batch_with(
-        &mut self,
-        updates: &[VoxelUpdate],
-        parallel_shards: Option<usize>,
-    ) -> Result<BatchStats, TaskPanic> {
-        let mut stats = BatchStats {
-            updates: updates.len() as u64,
-            ..BatchStats::default()
-        };
-        if updates.is_empty() {
-            return Ok(stats);
-        }
-        assert!(
-            updates.len() <= u32::MAX as usize,
-            "batch too large to index with u32"
+        let ((), stats, walked) = self.apply_grouped(
+            |sink| updates.iter().for_each(|&u| sink.push(u)),
+            |tree, scratch, stats, created| tree.walk_sharded(scratch, stats, created, shards),
         );
-
-        // The scratch moves out of `self` for the duration of the walk so
-        // tree mutation and scratch reads can borrow independently.
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        scratch.group_of.clear();
-        scratch.keys.clear();
-        scratch.starts.clear();
-        scratch.cursors.clear();
-        scratch.order.clear();
-
-        // Pass 1: group updates by key (insertion order numbers the
-        // groups) and remember each update's group id.
-        scratch.ids.clear();
-        scratch.ids.reserve(updates.len());
-        for u in updates {
-            let key = u.key;
-            let new_id = scratch.keys.len() as u32;
-            let id = match scratch.group_of.get_or_insert(packed_key(key), new_id) {
-                Some(existing) => existing,
-                None => {
-                    scratch.keys.push((key.morton_code(), key));
-                    scratch.cursors.push(0);
-                    new_id
-                }
-            };
-            scratch.cursors[id as usize] += 1;
-            scratch.ids.push(id);
-        }
-
-        // Turn counts into ranges: starts[g]..cursors[g] will delimit
-        // group g's bits once the scatter pass is done.
-        let mut offset = 0u32;
-        scratch.starts.reserve(scratch.keys.len());
-        for cursor in &mut scratch.cursors {
-            let count = *cursor;
-            scratch.starts.push(offset);
-            *cursor = offset;
-            offset += count;
-        }
-
-        // Pass 2: scatter hit/miss bits into their group's range. Scan
-        // order is preserved within each group, which keeps clamped
-        // additions bit-identical to the scalar replay. One byte per
-        // update (decoded at replay time) is the difference between a 4×
-        // larger and a 1× working set on the engine's main cache-miss
-        // producer.
-        scratch.bits.clear();
-        scratch.bits.resize(updates.len(), 0);
-        for (u, &id) in updates.iter().zip(&scratch.ids) {
-            let cursor = &mut scratch.cursors[id as usize];
-            scratch.bits[*cursor as usize] = u8::from(u.hit);
-            *cursor += 1;
-        }
-
-        self.finish_grouped_batch(scratch, &mut stats, |tree, scratch, stats, created| {
-            match parallel_shards {
-                None => {
-                    tree.walk_sequential(scratch, stats, created);
-                    Ok(())
-                }
-                Some(shards) => tree.walk_sharded(scratch, stats, created, shards),
-            }
-        })?;
-        Ok(stats)
+        walked.unwrap_or(Ok(())).map(|()| stats)
     }
 
     /// The streaming form of [`apply_update_batch`](Self::apply_update_batch):
     /// `fill` is handed an [`UpdateSink`] and pushes hit/miss updates
     /// through it one at a time; the group-by pass runs as the stream
-    /// arrives, so the update stream is never materialized. The per-update
-    /// observation bit travels packed into the low bit of the group-id
-    /// word, which is also what lets the scatter pass run without a
-    /// second look at the stream. The resulting tree is bit-identical to
-    /// collecting the same stream into a slice and calling
-    /// `apply_update_batch`.
+    /// arrives, so the update stream is never materialized. The resulting
+    /// tree is bit-identical to collecting the same stream into a slice
+    /// and calling `apply_update_batch`.
     ///
     /// Returns `fill`'s result alongside the batch statistics (an empty
     /// stream touches nothing and reports zero updates).
@@ -388,68 +366,42 @@ impl<V: LogOdds> OccupancyOctree<V> {
         &mut self,
         fill: impl FnOnce(&mut UpdateSink<'_>) -> R,
     ) -> (R, BatchStats) {
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        scratch.group_of.clear();
-        scratch.keys.clear();
-        scratch.starts.clear();
-        scratch.cursors.clear();
-        scratch.order.clear();
-        scratch.ids.clear();
-
-        // Pass 1, online: group updates by key as they stream in.
-        let result = fill(&mut UpdateSink {
-            scratch: &mut scratch,
-        });
-
-        let mut stats = BatchStats {
-            updates: scratch.ids.len() as u64,
-            ..BatchStats::default()
-        };
-        if scratch.ids.is_empty() {
-            self.batch_scratch = scratch;
-            return (result, stats);
-        }
-
-        // Turn counts into ranges (see `apply_batch_with`).
-        let mut offset = 0u32;
-        scratch.starts.reserve(scratch.keys.len());
-        for cursor in &mut scratch.cursors {
-            let count = *cursor;
-            scratch.starts.push(offset);
-            *cursor = offset;
-            offset += count;
-        }
-
-        // Scatter straight from the packed id words.
-        scratch.bits.clear();
-        scratch.bits.resize(scratch.ids.len(), 0);
-        {
-            let ids = &scratch.ids;
-            let cursors = &mut scratch.cursors;
-            let bits = &mut scratch.bits;
-            for &packed in ids {
-                let cursor = &mut cursors[(packed >> 1) as usize];
-                bits[*cursor as usize] = (packed & 1) as u8;
-                *cursor += 1;
-            }
-        }
-
-        self.finish_grouped_batch(scratch, &mut stats, |tree, scratch, stats, created| {
+        let (result, stats, _) = self.apply_grouped(fill, |tree, scratch, stats, created| {
             tree.walk_sequential(scratch, stats, created)
         });
         (result, stats)
     }
 
-    /// Shared tail of the batched paths, from grouped-and-scattered
-    /// scratch to finished tree: Morton sort of the unique keys, the
-    /// cached-descent `walk` (handed the tree, the scratch, the stats and
-    /// whether the root was just created), and counter accounting.
-    fn finish_grouped_batch<R>(
+    /// The batch engine core, shared by every entry point: `fill` pushes
+    /// the batch through an [`UpdateSink`] (group-by in run-length form),
+    /// then the hit records are counting-sorted by group, the unique keys
+    /// sorted by Morton code, and `walk` (handed the tree, the scratch,
+    /// the stats and whether the root was just created) replays each
+    /// group on its leaf with deferred finishing. An empty batch touches
+    /// nothing and `walk` does not run (`None`).
+    fn apply_grouped<R, W>(
         &mut self,
-        mut scratch: BatchScratch,
-        stats: &mut BatchStats,
-        walk: impl FnOnce(&mut Self, &BatchScratch, &mut BatchStats, bool) -> R,
-    ) -> R {
+        fill: impl FnOnce(&mut UpdateSink<'_>) -> R,
+        walk: impl FnOnce(&mut Self, &BatchScratch, &mut BatchStats, bool) -> W,
+    ) -> (R, BatchStats, Option<W>) {
+        // The scratch moves out of `self` for the duration of the batch so
+        // tree mutation and scratch reads can borrow independently.
+        let mut scratch = std::mem::take(&mut self.batch_scratch);
+        scratch.clear();
+        let result = fill(&mut UpdateSink {
+            scratch: &mut scratch,
+        });
+
+        let mut stats = BatchStats {
+            updates: scratch.updates as u64,
+            ..BatchStats::default()
+        };
+        if scratch.updates == 0 {
+            self.batch_scratch = scratch;
+            return (result, stats, None);
+        }
+        scratch.sort_hits_by_group();
+
         // One atomic load: refresh the snapshot-pin state so this batch
         // copies rows only for snapshots still alive, and retired rows
         // whose pins died return to the free lists.
@@ -471,7 +423,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
             root_just_created = true;
         }
 
-        let walked = walk(self, &scratch, stats, root_just_created);
+        let walked = walk(self, &scratch, &mut stats, root_just_created);
 
         // Scratch restore and counter accounting run even when a worker
         // panicked — the tree is structurally finished either way.
@@ -480,7 +432,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         self.counters.batch_coalesced += stats.coalesced;
         self.counters.batch_reused_levels += stats.reused_levels;
         self.counters.batch_deferred_finishes += stats.deferred_finishes;
-        walked
+        (result, stats, Some(walked))
     }
 
     /// The sequential cached-descent walk over the grouped, Morton-sorted
@@ -531,8 +483,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
 
             // Replay the group's whole hit/miss sequence on the leaf in
             // hand (one leaf-row load and store for the whole sequence).
-            let range = scratch.starts[id as usize] as usize..scratch.cursors[id as usize] as usize;
-            ctx.apply_leaf_bits(node, key, &scratch.bits[range], just_created);
+            let (misses_before_hits, trailing_misses) = scratch.runs_of(id);
+            ctx.apply_leaf_runs(node, key, misses_before_hits, trailing_misses, just_created);
             prev = Some(key);
         }
 
@@ -548,7 +500,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
 mod tests {
     use super::*;
     use crate::tree::{OctreeF32, OctreeFixed};
-    use omu_geometry::Occupancy;
+    use omu_geometry::{Occupancy, OccupancyParams};
 
     fn updates_cluster() -> Vec<VoxelUpdate> {
         // A mix of repeats, near neighbours and far jumps.
@@ -719,6 +671,64 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn saturated_miss_runs_still_count_every_update() {
+        // 1 hit, then 40 misses: the voxel pins at clamp_min after a few
+        // misses and the replay stops stepping, but the counters and the
+        // value match 41 scalar updates.
+        let mut u = vec![VoxelUpdate {
+            key: VoxelKey::ORIGIN,
+            hit: true,
+        }];
+        u.extend(std::iter::repeat_n(
+            VoxelUpdate {
+                key: VoxelKey::ORIGIN,
+                hit: false,
+            },
+            40,
+        ));
+        let mut scalar = OctreeF32::new(0.1).unwrap();
+        scalar.set_early_abort_saturated(false);
+        for up in &u {
+            scalar.update_key(up.key, up.hit);
+        }
+        let mut batched = OctreeF32::new(0.1).unwrap();
+        batched.apply_update_batch(&u);
+        assert_eq!(batched.logodds(VoxelKey::ORIGIN), Some(-2.0));
+        assert_eq!(batched.counters().leaf_updates, 41);
+        assert_eq!(scalar.counters().leaf_updates, 41);
+        assert_eq!(scalar.to_bytes(), batched.to_bytes());
+    }
+
+    #[test]
+    fn signed_zero_does_not_end_a_miss_run() {
+        // clamp_max = -0.0: the hit pins the voxel at -0.0, and the first
+        // zero miss turns it into +0.0 — equal under `==`, not in bits.
+        // Only the second miss is a no-op.
+        let params = OccupancyParams {
+            hit: 1.0,
+            miss: 0.0,
+            clamp_min: -2.0,
+            clamp_max: -0.0,
+            occupancy_threshold: -1.0,
+        };
+        let u = [true, false, false].map(|hit| VoxelUpdate {
+            key: VoxelKey::ORIGIN,
+            hit,
+        });
+        let mut scalar = OctreeF32::with_params(0.1, params).unwrap();
+        scalar.set_early_abort_saturated(false);
+        for up in &u {
+            scalar.update_key(up.key, up.hit);
+        }
+        let mut batched = OctreeF32::with_params(0.1, params).unwrap();
+        batched.apply_update_batch(&u);
+        let bits = |t: &OctreeF32| t.logodds(VoxelKey::ORIGIN).map(f32::to_bits);
+        assert_eq!(bits(&batched), Some(0.0f32.to_bits()));
+        assert_eq!(bits(&scalar), bits(&batched));
+        assert_eq!(scalar.to_bytes(), batched.to_bytes());
     }
 
     #[test]

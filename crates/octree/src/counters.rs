@@ -17,7 +17,8 @@ use serde::{Deserialize, Serialize};
 pub struct OpCounters {
     /// DDA steps performed during ray casting.
     pub dda_steps: u64,
-    /// Leaf log-odds additions (one per voxel update reaching depth 16).
+    /// Leaf log-odds additions (one per voxel update reaching depth 16,
+    /// including the no-op misses the batch engine's run replay skips).
     pub leaf_updates: u64,
     /// Levels descended while locating leaves (root → leaf traversal steps).
     pub traverse_steps: u64,

@@ -36,7 +36,8 @@
 //! tree offers a **batched update engine** (`apply_update_batch`):
 //! updates are Morton-sorted so the tree walk reuses the shared
 //! root-path prefix between consecutive keys, repeated updates of one
-//! voxel coalesce, and parent refresh + pruning are deferred to one
+//! voxel coalesce into run lengths (a miss run stops at the first miss
+//! that changes nothing), and parent refresh + pruning are deferred to one
 //! bottom-up pass per touched subtree — the software analogue of the
 //! work amortization the OMU hardware gets from its PE × bank layout.
 //!

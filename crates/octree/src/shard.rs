@@ -360,8 +360,8 @@ fn run_branch_task<V: LogOdds>(
 
         // Replay the group's whole hit/miss sequence on the leaf in hand
         // (one leaf-row load and store for the whole sequence).
-        let range = scratch.starts[id as usize] as usize..scratch.cursors[id as usize] as usize;
-        ctx.apply_leaf_bits(node, key, &scratch.bits[range], just_created);
+        let (misses_before_hits, trailing_misses) = scratch.runs_of(id);
+        ctx.apply_leaf_runs(node, key, misses_before_hits, trailing_misses, just_created);
         prev = Some(key);
     }
 

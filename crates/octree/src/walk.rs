@@ -110,103 +110,91 @@ impl<S: NodeStore<V>, V: LogOdds, C: ChangeLog> WalkCtx<'_, S, V, C> {
         delta: V,
         just_created: bool,
     ) -> V {
-        self.apply_leaf_deltas(leaf, key, &[delta], just_created)
-    }
-
-    /// Replays a whole per-voxel delta sequence on a located depth-16
-    /// voxel: the value stays in a register across the sequence (one
-    /// leaf-row load, one store), with per-delta counters and change
-    /// detection identical to applying each delta individually. Returns
-    /// the final value.
-    pub fn apply_leaf_deltas(
-        &mut self,
-        leaf: u32,
-        key: VoxelKey,
-        deltas: &[V],
-        just_created: bool,
-    ) -> V {
-        self.replay_leaf(leaf, key, just_created, deltas.iter().copied())
-    }
-
-    /// [`Self::apply_leaf_deltas`] over a bit-encoded hit/miss sequence,
-    /// decoded against the resolved hit/miss deltas (the batch engine
-    /// scatters one byte per update instead of a full log-odds value; see
-    /// the `batch` module).
-    pub fn apply_leaf_bits(
-        &mut self,
-        leaf: u32,
-        key: VoxelKey,
-        bits: &[u8],
-        just_created: bool,
-    ) -> V {
-        let (hit, miss) = (self.resolved.hit, self.resolved.miss);
-        if self.changed.is_none() {
-            // Lane-friendly replay for the common no-change-detection
-            // case: the hit/miss branch becomes a two-entry table index
-            // and `clamp_to` is comparison-based, so the loop body is
-            // branch-free (select + min/max) and the value never leaves a
-            // register. This is the batch engine's hottest loop — one
-            // iteration per voxel update.
-            let clamp_min = self.resolved.clamp_min;
-            let clamp_max = self.resolved.clamp_max;
-            let lut = [miss, hit];
-            let slot = self.store.leaf_value_mut(leaf);
-            let mut value = *slot;
-            for &b in bits {
-                value = value
-                    .add(lut[usize::from(b != 0)])
-                    .clamp_to(clamp_min, clamp_max);
+        let params = self.resolved;
+        let slot = self.store.leaf_value_mut(leaf);
+        let old = *slot;
+        let value = old.add(delta).clamp_to(params.clamp_min, params.clamp_max);
+        *slot = value;
+        self.counters.leaf_updates += 1;
+        if let Some(changed) = &mut self.changed {
+            // Change detection: record newly observed voxels and
+            // occupied↔free classification flips.
+            if just_created || params.classify(old) != params.classify(value) {
+                changed.record(key);
             }
-            *slot = value;
-            self.counters.leaf_updates += bits.len() as u64;
-            return value;
         }
-        self.replay_leaf(
-            leaf,
-            key,
-            just_created,
-            bits.iter().map(|&b| if b != 0 { hit } else { miss }),
-        )
+        value
     }
 
-    fn replay_leaf(
+    /// Replays one voxel's whole hit/miss sequence on a located depth-16
+    /// voxel, given in run-length form: for each entry of
+    /// `misses_before_hits`, that many misses and then one hit, and
+    /// finally `trailing_misses` misses — the voxel's updates in arrival
+    /// order, as the batch engine groups them. The value stays in a
+    /// register across the sequence (one leaf-row load, one store).
+    ///
+    /// A miss run ends as soon as one miss leaves the value bit-for-bit
+    /// unchanged: the clamped add is a function of the value alone, so
+    /// every later miss of that run is a no-op as well and flips nothing.
+    /// A free voxel already pinned at `clamp_min` therefore costs one step
+    /// per miss run, not one per miss. The test compares bit
+    /// patterns, never `==`, so a `-0.0` that the next miss would turn
+    /// into `+0.0` does not end a run. Hits always apply.
+    ///
+    /// Every update counts in `leaf_updates`, applied or skipped, and
+    /// change detection classifies every applied step: value, counters
+    /// and changed-key set equal one [`Self::apply_leaf_delta`] per
+    /// update. Returns the final value.
+    pub fn apply_leaf_runs(
         &mut self,
         leaf: u32,
         key: VoxelKey,
+        misses_before_hits: &[u32],
+        trailing_misses: u32,
         just_created: bool,
-        deltas: impl Iterator<Item = V>,
     ) -> V {
+        let params = self.resolved;
+        let track = self.changed.is_some();
+        // A just-created voxel is a change on its first update, whatever
+        // that update does to the value.
+        let mut flipped = just_created;
+        let mut step = |value: V, delta: V| {
+            let next = value
+                .add(delta)
+                .clamp_to(params.clamp_min, params.clamp_max);
+            if track {
+                flipped |= params.classify(value) != params.classify(next);
+            }
+            next
+        };
+
+        let runs = misses_before_hits
+            .iter()
+            .map(|&misses| (misses, true))
+            .chain(std::iter::once((trailing_misses, false)));
+        let mut updates = 0u64;
         let slot = self.store.leaf_value_mut(leaf);
         let mut value = *slot;
-        let mut steps = 0u64;
-        match &mut self.changed {
-            None => {
-                for delta in deltas {
-                    steps += 1;
-                    value = value
-                        .add(delta)
-                        .clamp_to(self.resolved.clamp_min, self.resolved.clamp_max);
+        for (misses, then_hit) in runs {
+            updates += u64::from(misses) + u64::from(then_hit);
+            for _ in 0..misses {
+                let next = step(value, params.miss);
+                if next.same_bits(value) {
+                    break;
                 }
+                value = next;
             }
-            Some(changed) => {
-                // Change detection: record newly observed voxels and
-                // occupied↔free classification flips.
-                for delta in deltas {
-                    let old = value;
-                    value = value
-                        .add(delta)
-                        .clamp_to(self.resolved.clamp_min, self.resolved.clamp_max);
-                    let flipped = (steps == 0 && just_created)
-                        || self.resolved.classify(old) != self.resolved.classify(value);
-                    steps += 1;
-                    if flipped {
-                        changed.record(key);
-                    }
-                }
+            if then_hit {
+                value = step(value, params.hit);
             }
         }
-        self.counters.leaf_updates += steps;
         *slot = value;
+        self.counters.leaf_updates += updates;
+        if flipped {
+            if let Some(changed) = &mut self.changed {
+                changed.record(key);
+            }
+        }
         value
     }
 

@@ -5,9 +5,11 @@
 
 use omu::accel::{verify, OmuAccelerator, OmuConfig, UpdateEngine};
 use omu::datasets::DatasetKind;
-use omu::geometry::{Occupancy, Point3, PointCloud, Scan};
+use omu::geometry::{
+    FixedLogOdds, LogOdds, Occupancy, OccupancyParams, Point3, PointCloud, Scan, VoxelKey,
+};
 use omu::octree::{OccupancyOctree, OctreeF32, OctreeFixed};
-use omu::raycast::IntegrationMode;
+use omu::raycast::{IntegrationMode, VoxelUpdate};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -219,6 +221,162 @@ proptest! {
                     &scans, pruning, mode, 0.1,
                 );
             }
+        }
+    }
+}
+
+/// Sensor-model parameters drawn at random, including the unchecked
+/// corners the public fields allow: `hit = 0`, a negative `hit`,
+/// `miss = 0` and a positive `miss`.
+fn random_params(rng: &mut StdRng) -> OccupancyParams {
+    let hit = match rng.random_range(0..4u8) {
+        0 => 0.0,
+        1 => rng.random_range(-0.5f32..-0.01),
+        _ => rng.random_range(0.01f32..2.0),
+    };
+    let miss = match rng.random_range(0..4u8) {
+        0 => 0.0,
+        1 => rng.random_range(0.01f32..1.0),
+        _ => rng.random_range(-1.5f32..-0.01),
+    };
+    let clamp_min = rng.random_range(-4.0f32..-0.1);
+    let clamp_max = rng.random_range(0.1f32..4.0);
+    OccupancyParams {
+        hit,
+        miss,
+        clamp_min,
+        clamp_max,
+        occupancy_threshold: rng.random_range(clamp_min..clamp_max),
+    }
+}
+
+/// One explicit update batch over at most 16 keys packed around the map
+/// centre, so siblings can prune and the keys straddle first-level
+/// branches. It is built from the shapes the run-length replay treats
+/// specially: long miss runs, hit bursts into `clamp_max`, hit/miss
+/// alternation, and random interleavings of several keys.
+fn run_heavy_batch(rng: &mut StdRng) -> Vec<VoxelUpdate> {
+    let nkeys = rng.random_range(1..=16usize);
+    let mut keys: Vec<VoxelKey> = Vec::with_capacity(nkeys);
+    while keys.len() < nkeys {
+        let mut coord = || 32766 + rng.random_range(0..4u16);
+        let key = VoxelKey::new(coord(), coord(), coord());
+        if !keys.contains(&key) {
+            keys.push(key);
+        }
+    }
+    let len = rng.random_range(1..400usize);
+    let mut batch = Vec::with_capacity(len + 80);
+    while batch.len() < len {
+        let key = keys[rng.random_range(0..nkeys)];
+        match rng.random_range(0..4u8) {
+            0 => {
+                let misses = rng.random_range(1..80usize);
+                batch.extend(std::iter::repeat_n(VoxelUpdate { key, hit: false }, misses));
+            }
+            1 => {
+                let hits = rng.random_range(1..16usize);
+                batch.extend(std::iter::repeat_n(VoxelUpdate { key, hit: true }, hits));
+            }
+            2 => {
+                let steps = rng.random_range(2..24usize);
+                batch.extend((0..steps).map(|i| VoxelUpdate {
+                    key,
+                    hit: i % 2 == 0,
+                }));
+            }
+            _ => {
+                for _ in 0..rng.random_range(1..24usize) {
+                    batch.push(VoxelUpdate {
+                        key: keys[rng.random_range(0..nkeys)],
+                        hit: rng.random_bool(0.3),
+                    });
+                }
+            }
+        }
+    }
+    batch
+}
+
+/// Applies `batches` through `apply_update_batch`, `apply_update_stream`
+/// and `apply_update_batch_parallel(.., 8)`, and through one scalar
+/// `update_key` per update (early abort off, so every update counts as a
+/// leaf update). After every batch it demands the same tree, changed
+/// keys, leaf-update count and wire bytes, then resets the changed keys,
+/// so later batches check classification flips rather than first
+/// observations.
+fn assert_run_replay_matches_scalar<V: LogOdds>(
+    params: OccupancyParams,
+    batches: &[Vec<VoxelUpdate>],
+    track_changes: bool,
+) {
+    let make = || {
+        let mut t: OccupancyOctree<V> = OccupancyOctree::with_params(0.1, params).unwrap();
+        t.set_change_detection(track_changes);
+        t
+    };
+    let mut scalar = make();
+    scalar.set_early_abort_saturated(false);
+    let mut batch = make();
+    let mut stream = make();
+    let mut parallel = make();
+    let changed = |t: &OccupancyOctree<V>| {
+        let mut v: Vec<VoxelKey> = t.changed_keys().copied().collect();
+        v.sort_unstable();
+        v
+    };
+    for (i, updates) in batches.iter().enumerate() {
+        for u in updates {
+            scalar.update_key(u.key, u.hit);
+        }
+        batch.apply_update_batch(updates);
+        stream.apply_update_stream(|sink| {
+            for &u in updates {
+                sink.push(u);
+            }
+        });
+        parallel.apply_update_batch_parallel(updates, 8).unwrap();
+        for (path, t) in [
+            ("batch", &mut batch),
+            ("stream", &mut stream),
+            ("parallel", &mut parallel),
+        ] {
+            let ctx =
+                format!("{path}, batch {i} (params={params:?}, change detection={track_changes})");
+            assert_eq!(t.snapshot(), scalar.snapshot(), "tree: {ctx}");
+            assert_eq!(changed(t), changed(&scalar), "changed keys: {ctx}");
+            assert_eq!(
+                t.counters().leaf_updates,
+                scalar.counters().leaf_updates,
+                "leaf updates: {ctx}"
+            );
+            assert_eq!(t.to_bytes(), scalar.to_bytes(), "wire bytes: {ctx}");
+            t.reset_changed_keys();
+        }
+        scalar.reset_changed_keys();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The run-length replay's contract: ending a miss run at the first
+    // miss that leaves the value's bits unchanged, and replaying each
+    // voxel's hits between its miss runs, is the per-update scalar replay
+    // bit for bit, for any sensor model, in both representations, with
+    // change detection on and off.
+    #[test]
+    fn run_length_replay_matches_per_update_scalar(
+        seed in any::<u64>(),
+        nbatches in 2usize..5,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = random_params(&mut rng);
+        let batches: Vec<Vec<VoxelUpdate>> =
+            (0..nbatches).map(|_| run_heavy_batch(&mut rng)).collect();
+        for track_changes in [false, true] {
+            assert_run_replay_matches_scalar::<f32>(params, &batches, track_changes);
+            assert_run_replay_matches_scalar::<FixedLogOdds>(params, &batches, track_changes);
         }
     }
 }
