@@ -1,7 +1,7 @@
 //! Scan-insert throughput on the corridor dataset: the scalar
-//! `insert_scan` oracle vs `insert_points` at 1 and 8 shards — the
-//! microbenchmark behind `BENCH_batch_update.json`'s end_to_end rows
-//! (see `src/bin/bench_batch_update.rs` for the JSON emitter).
+//! `insert_scan` oracle vs `insert_points` at 1 and 8 shards, ray
+//! casting included. The production write path is measured end to end
+//! by perfbench; CI's gated ratios live in `src/bin/bench_guards.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use omu_datasets::DatasetKind;

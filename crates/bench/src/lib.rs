@@ -2,7 +2,9 @@
 //! binaries share.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! OMU paper (see DESIGN.md § 5 for the index); this library provides:
+//! OMU paper (see DESIGN.md § 5 for the index), except `bench_guards`,
+//! which times CI's five performance guards and writes
+//! `BENCH_guards.json`. This library provides:
 //!
 //! - [`runner`] — executes one dataset through the instrumented software
 //!   baseline *and* the accelerator model, with linear extrapolation from

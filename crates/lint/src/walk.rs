@@ -180,7 +180,7 @@ mod tests {
         assert_eq!(class_of("src/lib.rs"), FileClass::Library);
         assert_eq!(class_of("crates/bench/src/runner.rs"), FileClass::Bin);
         assert_eq!(
-            class_of("crates/bench/src/bin/bench_batch_update.rs"),
+            class_of("crates/bench/src/bin/bench_guards.rs"),
             FileClass::Bin
         );
         assert_eq!(class_of("examples/quickstart.rs"), FileClass::Bin);

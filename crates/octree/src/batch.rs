@@ -47,8 +47,10 @@ use omu_pool::TaskPanic;
 use omu_raycast::VoxelUpdate;
 use serde::{Deserialize, Serialize};
 
+use crate::arena::NodeStore;
 use crate::node::NIL;
 use crate::tree::OccupancyOctree;
+use crate::walk::{ChangeLog, WalkCtx};
 
 /// A voxel key packed into one word — the form the group-by table
 /// hashes with a single multiply.
@@ -367,7 +369,16 @@ impl<V: LogOdds> OccupancyOctree<V> {
         fill: impl FnOnce(&mut UpdateSink<'_>) -> R,
     ) -> (R, BatchStats) {
         let (result, stats, _) = self.apply_grouped(fill, |tree, scratch, stats, created| {
-            tree.walk_sequential(scratch, stats, created)
+            let root = tree.root;
+            walk_groups(
+                &mut tree.walk_ctx(),
+                scratch,
+                &scratch.order,
+                0,
+                root,
+                created,
+                stats,
+            );
         });
         (result, stats)
     }
@@ -434,65 +445,70 @@ impl<V: LogOdds> OccupancyOctree<V> {
         self.counters.batch_deferred_finishes += stats.deferred_finishes;
         (result, stats, Some(walked))
     }
+}
 
-    /// The sequential cached-descent walk over the grouped, Morton-sorted
-    /// batch.
-    fn walk_sequential(
-        &mut self,
-        scratch: &BatchScratch,
-        stats: &mut BatchStats,
-        mut root_just_created: bool,
-    ) {
-        let root = self.root;
-        let mut ctx = self.walk_ctx();
+/// The cached-descent walk over Morton-sorted groups, written once for
+/// both callers: the sequential walk starts at the root (`top` = 0) and
+/// each sharded branch task at its depth-1 node (`top` = 1), whose
+/// groups all share that prefix. `top_created` says whether `top_node`
+/// was created for this batch. Consecutive keys re-descend only below
+/// their shared prefix, each group's runs replay on the leaf in hand,
+/// and a path node is finished once, when the walk leaves its subtree;
+/// the nodes above `top` are the caller's to finish.
+pub(crate) fn walk_groups<S: NodeStore<V>, V: LogOdds, C: ChangeLog>(
+    ctx: &mut WalkCtx<'_, S, V, C>,
+    scratch: &BatchScratch,
+    order: &[u32],
+    top: usize,
+    top_node: u32,
+    top_created: bool,
+    stats: &mut BatchStats,
+) {
+    // path[d] = node at depth d along the current key's root path.
+    let mut path = [NIL; TREE_DEPTH as usize + 1];
+    path[top] = top_node;
+    let mut prev: Option<VoxelKey> = None;
 
-        // path[d] = node at depth d along the current key's root path.
-        let mut path = [NIL; TREE_DEPTH as usize + 1];
-        path[0] = root;
-        let mut prev: Option<VoxelKey> = None;
-
-        for &id in &scratch.order {
-            let (_, key) = scratch.keys[id as usize];
-            let resume_depth = match prev {
-                None => 0,
-                Some(prev_key) => {
-                    let shared = prev_key.common_prefix_depth(key) as usize;
-                    // The previous path's nodes below the shared prefix are
-                    // finished for good: no later Morton-sorted key can
-                    // re-enter those subtrees. Prune/refresh them now,
-                    // bottom-up.
-                    for d in ((shared + 1)..TREE_DEPTH as usize).rev() {
-                        ctx.finish_node(path[d], d as u8);
-                        stats.deferred_finishes += 1;
-                    }
-                    stats.reused_levels += shared as u64;
-                    shared
+    for &id in order {
+        let (_, key) = scratch.keys[id as usize];
+        let resume_depth = match prev {
+            None => top,
+            Some(prev_key) => {
+                let shared = prev_key.common_prefix_depth(key) as usize;
+                // The previous path's nodes below the shared prefix are
+                // finished for good: no later Morton-sorted key can
+                // re-enter those subtrees. Prune/refresh them now,
+                // bottom-up.
+                for d in ((shared + 1)..TREE_DEPTH as usize).rev() {
+                    ctx.finish_node(path[d], d as u8);
+                    stats.deferred_finishes += 1;
                 }
-            };
-
-            let mut node = path[resume_depth];
-            let mut just_created = resume_depth == 0 && root_just_created;
-            for depth in resume_depth..TREE_DEPTH as usize {
-                let (child, created) = ctx.step_down(node, key, depth as u8, just_created);
-                just_created = created;
-                node = child;
-                path[depth + 1] = node;
-                stats.descended_levels += 1;
+                stats.reused_levels += shared as u64;
+                shared
             }
-            root_just_created = false;
+        };
 
-            // Replay the group's whole hit/miss sequence on the leaf in
-            // hand (one leaf-row load and store for the whole sequence).
-            let (misses_before_hits, trailing_misses) = scratch.runs_of(id);
-            ctx.apply_leaf_runs(node, key, misses_before_hits, trailing_misses, just_created);
-            prev = Some(key);
+        let mut node = path[resume_depth];
+        let mut just_created = top_created && prev.is_none();
+        for depth in resume_depth..TREE_DEPTH as usize {
+            let (child, created) = ctx.step_down(node, key, depth as u8, just_created);
+            just_created = created;
+            node = child;
+            path[depth + 1] = node;
+            stats.descended_levels += 1;
         }
 
-        // Flush: finish the last path all the way to the root.
-        for d in (0..TREE_DEPTH as usize).rev() {
-            ctx.finish_node(path[d], d as u8);
-            stats.deferred_finishes += 1;
-        }
+        // Replay the group's whole hit/miss sequence on the leaf in hand
+        // (one leaf-row load and store for the whole sequence).
+        let (misses_before_hits, trailing_misses) = scratch.runs_of(id);
+        ctx.apply_leaf_runs(node, key, misses_before_hits, trailing_misses, just_created);
+        prev = Some(key);
+    }
+
+    // Flush: finish the last path up to `top`.
+    for d in (top..TREE_DEPTH as usize).rev() {
+        ctx.finish_node(path[d], d as u8);
+        stats.deferred_finishes += 1;
     }
 }
 
@@ -702,33 +718,83 @@ mod tests {
         assert_eq!(scalar.to_bytes(), batched.to_bytes());
     }
 
+    /// Applies `updates` one `update_key` at a time (early abort as
+    /// given) and as one batch, demands equal `.omut` bytes, and returns
+    /// the batch tree's value bits at `probe`.
+    fn scalar_and_batch_bits(
+        params: OccupancyParams,
+        updates: &[VoxelUpdate],
+        early_abort: bool,
+        probe: VoxelKey,
+    ) -> Option<u32> {
+        let mut scalar = OctreeF32::with_params(0.1, params).unwrap();
+        scalar.set_early_abort_saturated(early_abort);
+        for up in updates {
+            scalar.update_key(up.key, up.hit);
+        }
+        let mut batched = OctreeF32::with_params(0.1, params).unwrap();
+        batched.apply_update_batch(updates);
+        let bits = |t: &OctreeF32| t.logodds(probe).map(f32::to_bits);
+        assert_eq!(bits(&scalar), bits(&batched));
+        assert_eq!(scalar.to_bytes(), batched.to_bytes());
+        bits(&batched)
+    }
+
+    /// `clamp_max = -0.0` and a zero miss: a hit pins a voxel at -0.0,
+    /// and the first miss turns it into +0.0.
+    const NEGATIVE_ZERO_MAX: OccupancyParams = OccupancyParams {
+        hit: 1.0,
+        miss: 0.0,
+        clamp_min: -2.0,
+        clamp_max: -0.0,
+        occupancy_threshold: -1.0,
+    };
+
     #[test]
     fn signed_zero_does_not_end_a_miss_run() {
-        // clamp_max = -0.0: the hit pins the voxel at -0.0, and the first
-        // zero miss turns it into +0.0 — equal under `==`, not in bits.
-        // Only the second miss is a no-op.
-        let params = OccupancyParams {
-            hit: 1.0,
-            miss: 0.0,
-            clamp_min: -2.0,
-            clamp_max: -0.0,
-            occupancy_threshold: -1.0,
-        };
+        // Equal under `==`, not in bits: only the second miss is a no-op.
         let u = [true, false, false].map(|hit| VoxelUpdate {
             key: VoxelKey::ORIGIN,
             hit,
         });
-        let mut scalar = OctreeF32::with_params(0.1, params).unwrap();
-        scalar.set_early_abort_saturated(false);
-        for up in &u {
-            scalar.update_key(up.key, up.hit);
-        }
-        let mut batched = OctreeF32::with_params(0.1, params).unwrap();
-        batched.apply_update_batch(&u);
-        let bits = |t: &OctreeF32| t.logodds(VoxelKey::ORIGIN).map(f32::to_bits);
-        assert_eq!(bits(&batched), Some(0.0f32.to_bits()));
-        assert_eq!(bits(&scalar), bits(&batched));
-        assert_eq!(scalar.to_bytes(), batched.to_bytes());
+        let bits = scalar_and_batch_bits(NEGATIVE_ZERO_MAX, &u, false, VoxelKey::ORIGIN);
+        assert_eq!(bits, Some(0.0f32.to_bits()));
+    }
+
+    #[test]
+    fn early_abort_applies_a_zero_miss_that_flips_the_sign() {
+        // -0.0 is "saturated" for the zero miss, yet the miss changes its
+        // bits, so the default early abort must not skip it.
+        let u = [true, false].map(|hit| VoxelUpdate {
+            key: VoxelKey::ORIGIN,
+            hit,
+        });
+        let bits = scalar_and_batch_bits(NEGATIVE_ZERO_MAX, &u, true, VoxelKey::ORIGIN);
+        assert_eq!(bits, Some(0.0f32.to_bits()));
+    }
+
+    #[test]
+    fn signed_zero_siblings_do_not_prune() {
+        // clamp_min = -0.0: child 0 ends at +0.0 (M H M M), children 1-7
+        // at -0.0 (one M each). Pruned as equal, the scalar path's expand
+        // for child 1's hit would copy child 0's +0.0 onto children 2-7;
+        // the batch engine prunes only at the end and keeps their -0.0.
+        let params = OccupancyParams {
+            hit: 1.0,
+            miss: -0.5,
+            clamp_min: -0.0,
+            clamp_max: 3.5,
+            occupancy_threshold: 0.0,
+        };
+        let child = |i: u16| VoxelKey::new(33000 + (i & 1), 33000 + (i >> 1 & 1), 33000 + (i >> 2));
+        let misses = [false, true, false, false].into_iter().map(|hit| (0, hit));
+        let u: Vec<VoxelUpdate> = misses
+            .chain((1..8).map(|i| (i, false)))
+            .chain([(1, true)])
+            .map(|(i, hit)| VoxelUpdate { key: child(i), hit })
+            .collect();
+        let bits = scalar_and_batch_bits(params, &u, false, child(2));
+        assert_eq!(bits, Some((-0.0f32).to_bits()));
     }
 
     #[test]

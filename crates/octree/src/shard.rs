@@ -23,13 +23,13 @@
 //! finishing inside a branch is exactly the sequence the sequential walk
 //! would have executed when crossing that branch.
 
-use omu_geometry::{LogOdds, ResolvedParams, VoxelKey, TREE_DEPTH};
+use omu_geometry::{LogOdds, ResolvedParams, VoxelKey};
 use omu_pool::TaskPanic;
 
 use crate::arena::{ArenaShard, NodeStore, NUM_BRANCHES};
-use crate::batch::{BatchScratch, BatchStats};
+use crate::batch::{walk_groups, BatchScratch, BatchStats};
 use crate::counters::OpCounters;
-use crate::node::{Node, NIL};
+use crate::node::Node;
 use crate::tree::OccupancyOctree;
 use crate::walk::WalkCtx;
 
@@ -161,8 +161,9 @@ pub(crate) fn resolve_apply_shards(requested: usize) -> usize {
 }
 
 impl<V: LogOdds> OccupancyOctree<V> {
-    /// The subtree-sharded counterpart of `walk_sequential`: called by the
-    /// batch engine after grouping/sorting, with the root already in place.
+    /// The subtree-sharded counterpart of the sequential walk: called by
+    /// the batch engine after grouping/sorting, with the root already in
+    /// place.
     ///
     /// On a worker panic in the pooled fan-out, every branch shard is
     /// still reattached (the tasks — and therefore the detached shards —
@@ -180,34 +181,29 @@ impl<V: LogOdds> OccupancyOctree<V> {
         let workers = resolve_apply_shards(shards);
         let root = self.root;
 
-        // Split the Morton-sorted group order into per-branch runs.
-        let mut runs: Vec<(usize, std::ops::Range<usize>)> = Vec::with_capacity(NUM_BRANCHES);
+        // Pre-step depth 0 on the main thread, once per run of groups in
+        // one branch, in Morton (= branch) order: locate or create each
+        // active branch's depth-1 node, expanding a pruned root exactly as
+        // the sequential walk's first descent would.
+        let group = |id: &u32| scratch.keys[*id as usize];
+        let mut pre = Vec::with_capacity(NUM_BRANCHES);
+        let mut ctx = self.walk_ctx();
         let mut start = 0;
-        for i in 1..=scratch.order.len() {
-            let boundary = i == scratch.order.len()
-                || branch_of(scratch.keys[scratch.order[i] as usize].0)
-                    != branch_of(scratch.keys[scratch.order[start] as usize].0);
-            if boundary {
-                let b = branch_of(scratch.keys[scratch.order[start] as usize].0);
-                runs.push((b, start..i));
-                start = i;
-            }
-        }
-
-        // Pre-step depth 0 on the main thread, in Morton (= branch) order:
-        // locate or create each active branch's depth-1 node, expanding a
-        // pruned root exactly as the sequential walk's first descent would.
-        let mut pre: Vec<(usize, u32, bool, std::ops::Range<usize>)> =
-            Vec::with_capacity(runs.len());
+        for run in scratch
+            .order
+            .chunk_by(|a, b| branch_of(group(a).0) == branch_of(group(b).0))
         {
-            let mut ctx = self.walk_ctx();
-            for (branch, range) in runs {
-                let first_key = scratch.keys[scratch.order[range.start] as usize].1;
-                let (branch_root, created) = ctx.step_down(root, first_key, 0, root_just_created);
-                root_just_created = false;
-                stats.descended_levels += 1;
-                pre.push((branch, branch_root, created, range));
-            }
+            let (morton, first_key) = group(&run[0]);
+            let (branch_root, created) = ctx.step_down(root, first_key, 0, root_just_created);
+            root_just_created = false;
+            stats.descended_levels += 1;
+            pre.push((
+                branch_of(morton),
+                branch_root,
+                created,
+                start..start + run.len(),
+            ));
+            start += run.len();
         }
         let mut tasks: Vec<BranchTask<V>> = pre
             .into_iter()
@@ -298,9 +294,9 @@ impl<V: LogOdds> OccupancyOctree<V> {
 }
 
 /// Applies one branch's contiguous run of Morton-sorted groups inside its
-/// own branch store — the per-thread body of the sharded walk. Mirrors
-/// the sequential walk restricted to depths ≥ 1 (the main thread already
-/// performed the depth-0 step).
+/// own branch store — the per-thread body of the sharded walk: the
+/// shared cached-descent walk from the branch's depth-1 node (the main
+/// thread already performed the depth-0 step and finishes the root).
 fn run_branch_task<V: LogOdds>(
     task: &mut BranchTask<V>,
     scratch: &BatchScratch,
@@ -325,52 +321,8 @@ fn run_branch_task<V: LogOdds>(
         counters,
         changed: if track_changes { Some(changed) } else { None },
     };
-
-    // path[d] = node at depth d along the current key's root path
-    // (path[0] is the root, owned by the main thread — never touched).
-    let mut path = [NIL; TREE_DEPTH as usize + 1];
-    path[1] = branch_root;
-    let mut prev: Option<VoxelKey> = None;
-
-    for &id in &scratch.order[range.clone()] {
-        let (_, key) = scratch.keys[id as usize];
-        let resume_depth = match prev {
-            None => 1,
-            Some(prev_key) => {
-                // Keys in one branch share at least the depth-1 prefix.
-                let shared = prev_key.common_prefix_depth(key) as usize;
-                for d in ((shared + 1)..TREE_DEPTH as usize).rev() {
-                    ctx.finish_node(path[d], d as u8);
-                    stats.deferred_finishes += 1;
-                }
-                stats.reused_levels += shared as u64;
-                shared
-            }
-        };
-
-        let mut node = path[resume_depth];
-        let mut just_created = resume_depth == 1 && *created && prev.is_none();
-        for depth in resume_depth..TREE_DEPTH as usize {
-            let (child, c) = ctx.step_down(node, key, depth as u8, just_created);
-            just_created = c;
-            node = child;
-            path[depth + 1] = node;
-            stats.descended_levels += 1;
-        }
-
-        // Replay the group's whole hit/miss sequence on the leaf in hand
-        // (one leaf-row load and store for the whole sequence).
-        let (misses_before_hits, trailing_misses) = scratch.runs_of(id);
-        ctx.apply_leaf_runs(node, key, misses_before_hits, trailing_misses, just_created);
-        prev = Some(key);
-    }
-
-    // Flush the last path down to the branch root; the root spine
-    // (depth 0) is finished once by the main thread after the join.
-    for d in (1..TREE_DEPTH as usize).rev() {
-        ctx.finish_node(path[d], d as u8);
-        stats.deferred_finishes += 1;
-    }
+    let order = &scratch.order[range.clone()];
+    walk_groups(&mut ctx, scratch, order, 1, branch_root, *created, stats);
 }
 
 #[cfg(test)]

@@ -51,7 +51,8 @@ pub struct MemoryStats {
 impl MemoryStats {
     /// Arena heap bytes per live node — the cache-compactness figure the
     /// sibling-row refactor targets (the block-arena layout measured
-    /// ≈19 B/node on the corridor map; see `BENCH_batch_update.json`).
+    /// ≈19 B/node on the corridor map; `tests/memory_and_capacity.rs`
+    /// holds the sibling-row figure under 13).
     pub fn bytes_per_node(&self) -> f64 {
         if self.live_nodes == 0 {
             0.0

@@ -35,14 +35,17 @@ impl<V: LogOdds> OccupancyOctree<V> {
         // OctoMap's early abort: if the covering leaf is already clamped in
         // the update direction, the update cannot change anything — skip
         // the whole descend/prune machinery. (This is why saturated
-        // re-observations are cheap on the CPU baseline.)
+        // re-observations are cheap on the CPU baseline.) The skip also
+        // requires the clamped step to keep the value's bits, the test the
+        // batch engine's miss runs use: a zero delta turns a `-0.0` clamp
+        // bound into `+0.0`, so it must apply.
         if self.early_abort_saturated {
             self.counters.saturation_probes += 1;
             if let Some((value, _)) = self.search(key) {
+                let (min, max) = (self.resolved.clamp_min, self.resolved.clamp_max);
                 let positive = delta >= V::ZERO;
-                if (positive && value >= self.resolved.clamp_max)
-                    || (!positive && value <= self.resolved.clamp_min)
-                {
+                let saturated = (positive && value >= max) || (!positive && value <= min);
+                if saturated && value.add(delta).clamp_to(min, max).same_bits(value) {
                     self.counters.saturated_skips += 1;
                     return value;
                 }

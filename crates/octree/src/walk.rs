@@ -267,6 +267,11 @@ impl<S: NodeStore<V>, V: LogOdds, C: ChangeLog> WalkCtx<'_, S, V, C> {
     /// and all hold the same value. On success the children's sibling row
     /// is recycled and `node` becomes a leaf carrying their common value.
     ///
+    /// "The same value" means the same bit pattern, never `==`: `+0.0`
+    /// and `-0.0` siblings stay apart, so a later expand restores each
+    /// sibling's exact bits and eager (scalar) and deferred (batch)
+    /// pruning build the same tree.
+    ///
     /// Returns `true` when the node was pruned.
     pub fn try_prune(&mut self, node: u32, depth: u8) -> bool {
         self.counters.prune_checks += 1;
@@ -292,7 +297,7 @@ impl<S: NodeStore<V>, V: LogOdds, C: ChangeLog> WalkCtx<'_, S, V, C> {
                     return false;
                 }
                 self.counters.prune_child_reads += 1;
-                if kid != first {
+                if !kid.same_bits(first) {
                     return false;
                 }
             }
@@ -315,7 +320,7 @@ impl<S: NodeStore<V>, V: LogOdds, C: ChangeLog> WalkCtx<'_, S, V, C> {
                     return false;
                 }
                 self.counters.prune_child_reads += 1;
-                if !child.is_leaf() || child.value != first.value {
+                if !child.is_leaf() || !child.value.same_bits(first.value) {
                     return false;
                 }
             }

@@ -227,7 +227,7 @@ proptest! {
 
 /// Sensor-model parameters drawn at random, including the unchecked
 /// corners the public fields allow: `hit = 0`, a negative `hit`,
-/// `miss = 0` and a positive `miss`.
+/// `miss = 0`, a positive `miss` and a `-0.0` clamp bound.
 fn random_params(rng: &mut StdRng) -> OccupancyParams {
     let hit = match rng.random_range(0..4u8) {
         0 => 0.0,
@@ -239,8 +239,15 @@ fn random_params(rng: &mut StdRng) -> OccupancyParams {
         1 => rng.random_range(0.01f32..1.0),
         _ => rng.random_range(-1.5f32..-0.01),
     };
-    let clamp_min = rng.random_range(-4.0f32..-0.1);
-    let clamp_max = rng.random_range(0.1f32..4.0);
+    let mut clamp_min = rng.random_range(-4.0f32..-0.1);
+    let mut clamp_max = rng.random_range(0.1f32..4.0);
+    // A `-0.0` bound differs from what a zero step or the opposite bound
+    // makes of it only in the sign bit, which `==` cannot see.
+    match rng.random_range(0..4u8) {
+        0 => clamp_min = -0.0,
+        1 => clamp_max = -0.0,
+        _ => {}
+    }
     OccupancyParams {
         hit,
         miss,
