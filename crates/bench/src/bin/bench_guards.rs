@@ -5,10 +5,10 @@
 //!
 //! | stage | scale | sides (same output) | gated ratio | bound |
 //! |---|---|---|---|---|
-//! | `front_end` | 0.02 | scalar DDA, 8-lane packet (update streams) | packet/scalar throughput | ≥ 1.0 |
+//! | `front_end` | 0.1 | scalar DDA, 8-lane packet (update streams) | packet/scalar throughput | ≥ 1.0 |
 //! | `sharded` | 0.02 | `apply_update_batch_parallel` at 1, 8 shards (`to_bytes`) | 8/1-shard throughput | ≥ 0.93 |
 //! | `snapshot` | 0.1 | 100 k random probes, direct and through a `Snapshot` (occupied count) | snapshot/direct throughput | ≥ 0.9 |
-//! | `durability` | 0.1 | `MapService` ingest with no WAL, a WAL, checkpoints every 8 epochs (final snapshot) | wal_on/wal_off, ckpt_on/wal_on time | ≤ 1.10 |
+//! | `durability` | 0.1 | `MapService` ingest with no WAL, a WAL, a checkpoint every epoch (final snapshot) | wal_on/wal_off, ckpt_on/wal_on time | ≤ 1.10 |
 //!
 //! Each stage times its sides in [`ROUNDS`] rounds whose order rotates
 //! (two sides alternate), and a gated ratio is the median of its
@@ -16,8 +16,8 @@
 //! The snapshot and durability stages, whose ratios sit nearest their
 //! bounds, re-measure once before failing. On a host with fewer cores
 //! than shards the sharded ratio is pool dispatch overhead. At 7 scans
-//! the writer publishes 2–3 times, under the 8-epoch checkpoint period,
-//! so `ckpt_on` cuts no checkpoint.
+//! the writer publishes only 2–3 times, so `ckpt_on` checkpoints every
+//! epoch, and each of its runs must leave a checkpoint file behind.
 //!
 //! Usage: `cargo run --release -p omu-bench --bin bench_guards` (no
 //! flags).
@@ -72,7 +72,7 @@ struct Stage {
 
 const FRONT_END: Stage = Stage {
     name: "front_end",
-    scale: 0.02,
+    scale: 0.1,
     sides: &["scalar_dda", "packet"],
     ratios: &[("packet/scalar_dda", 0, 1, Bound::Floor(1.0))],
     rerun: false,
@@ -283,7 +283,7 @@ fn durability() -> (Measured, usize) {
     let policies = [
         None,
         Some(DurabilityPolicy::Manual),
-        Some(DurabilityPolicy::EveryNEpochs(8)),
+        Some(DurabilityPolicy::EveryNEpochs(1)),
     ];
     judge(&DURABILITY, |side| {
         let _ = std::fs::remove_dir_all(&dir);
@@ -302,7 +302,20 @@ fn durability() -> (Measured, usize) {
             service.shutdown().expect("clean shutdown");
             last
         });
+        let checkpoints = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter(|entry| {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                name.starts_with("ckpt-") && name.ends_with(".omut")
+            })
+            .count();
         let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            checkpoints > 0 || !matches!(policies[side], Some(DurabilityPolicy::EveryNEpochs(_))),
+            "durability: a ckpt_on run left no checkpoint file"
+        );
         (secs, last.to_bytes())
     })
 }

@@ -184,11 +184,11 @@ impl MapBuilder {
     }
 
     /// Sets the size of the persistent worker pool that backs every
-    /// parallel path of the software backends (sharded batch applies,
-    /// pipeline ray casting, chunked batch reads). `0` (the default)
-    /// resolves to `max(8, available CPUs)` — 8 because the sharded
-    /// write engine splits work by first-level branch, of which there
-    /// are exactly 8. Workers spawn lazily on first use and persist for
+    /// parallel path of the software backends (the sharded tree walk
+    /// behind every insert, chunked batch reads and ray casts). `0` (the
+    /// default) resolves to `max(8, available CPUs)` — 8 because the
+    /// sharded write engine splits work by first-level branch, of which
+    /// there are exactly 8. Workers spawn lazily on first use and persist for
     /// the map's lifetime, so no parallel call ever pays a thread
     /// spawn. Ignored by the accelerator backend (one modeled device).
     pub fn worker_threads(mut self, threads: usize) -> Self {

@@ -33,12 +33,12 @@ pub enum Engine {
     /// `updateNode` loop): the paper's CPU baseline and the test oracle.
     Scalar,
     /// Per-scan Morton-sorted batches with cached descent and deferred
-    /// parent refresh, with ray casting and the tree apply spread over
-    /// `shards` workers (one first-level octree branch per shard, like
-    /// the paper's PEs). `Sharded { shards: 1 }` is the default.
+    /// parent refresh: one ray front end streams each scan into the
+    /// batch's group-by, and the tree walk is spread over `shards`
+    /// workers (one first-level octree branch per shard, like the
+    /// paper's PEs). `Sharded { shards: 1 }` is the default.
     Sharded {
-        /// Worker shards for ray casting and the tree apply
-        /// (1 ..= [`MAX_SHARDS`]).
+        /// Worker shards for the tree walk (1 ..= [`MAX_SHARDS`]).
         shards: usize,
     },
 }

@@ -49,6 +49,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::arena::NodeStore;
 use crate::node::NIL;
+use crate::shard::resolve_apply_shards;
 use crate::tree::OccupancyOctree;
 use crate::walk::{ChangeLog, WalkCtx};
 
@@ -348,11 +349,9 @@ impl<V: LogOdds> OccupancyOctree<V> {
         updates: &[VoxelUpdate],
         shards: usize,
     ) -> Result<BatchStats, TaskPanic> {
-        let ((), stats, walked) = self.apply_grouped(
-            |sink| updates.iter().for_each(|&u| sink.push(u)),
-            |tree, scratch, stats, created| tree.walk_sharded(scratch, stats, created, shards),
-        );
-        walked.unwrap_or(Ok(())).map(|()| stats)
+        let ((), stats, walked) =
+            self.apply_grouped(|sink| updates.iter().for_each(|&u| sink.push(u)), shards);
+        walked.map(|()| stats)
     }
 
     /// The streaming form of [`apply_update_batch`](Self::apply_update_batch):
@@ -368,33 +367,27 @@ impl<V: LogOdds> OccupancyOctree<V> {
         &mut self,
         fill: impl FnOnce(&mut UpdateSink<'_>) -> R,
     ) -> (R, BatchStats) {
-        let (result, stats, _) = self.apply_grouped(fill, |tree, scratch, stats, created| {
-            let root = tree.root;
-            walk_groups(
-                &mut tree.walk_ctx(),
-                scratch,
-                &scratch.order,
-                0,
-                root,
-                created,
-                stats,
-            );
-        });
+        // One shard walks sequentially on this thread: no task, no panic.
+        let (result, stats, _) = self.apply_grouped(fill, 1);
         (result, stats)
     }
 
-    /// The batch engine core, shared by every entry point: `fill` pushes
-    /// the batch through an [`UpdateSink`] (group-by in run-length form),
-    /// then the hit records are counting-sorted by group, the unique keys
-    /// sorted by Morton code, and `walk` (handed the tree, the scratch,
-    /// the stats and whether the root was just created) replays each
-    /// group on its leaf with deferred finishing. An empty batch touches
-    /// nothing and `walk` does not run (`None`).
-    fn apply_grouped<R, W>(
+    /// The batch engine core, shared by every entry point (the scan
+    /// insert included): `fill` pushes the batch through an
+    /// [`UpdateSink`] (group-by in run-length form), then the hit records
+    /// are counting-sorted by group, the unique keys sorted by Morton
+    /// code, and the walk replays each group on its leaf with deferred
+    /// finishing — the sequential [`walk_groups`] when `shards` resolves
+    /// to one worker, the branch-sharded walk above that. An empty batch
+    /// touches nothing.
+    ///
+    /// The walk's result is `Err` only when a sharded branch task
+    /// panicked (see [`Self::apply_update_batch_parallel`]).
+    pub(crate) fn apply_grouped<R>(
         &mut self,
         fill: impl FnOnce(&mut UpdateSink<'_>) -> R,
-        walk: impl FnOnce(&mut Self, &BatchScratch, &mut BatchStats, bool) -> W,
-    ) -> (R, BatchStats, Option<W>) {
+        shards: usize,
+    ) -> (R, BatchStats, Result<(), TaskPanic>) {
         // The scratch moves out of `self` for the duration of the batch so
         // tree mutation and scratch reads can borrow independently.
         let mut scratch = std::mem::take(&mut self.batch_scratch);
@@ -409,7 +402,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         };
         if scratch.updates == 0 {
             self.batch_scratch = scratch;
-            return (result, stats, None);
+            return (result, stats, Ok(()));
         }
         scratch.sort_hits_by_group();
 
@@ -434,7 +427,22 @@ impl<V: LogOdds> OccupancyOctree<V> {
             root_just_created = true;
         }
 
-        let walked = walk(self, &scratch, &mut stats, root_just_created);
+        let workers = resolve_apply_shards(shards);
+        let walked = if workers == 1 {
+            let root = self.root;
+            walk_groups(
+                &mut self.walk_ctx(),
+                &scratch,
+                &scratch.order,
+                0,
+                root,
+                root_just_created,
+                &mut stats,
+            );
+            Ok(())
+        } else {
+            self.walk_sharded(&scratch, &mut stats, root_just_created, workers)
+        };
 
         // Scratch restore and counter accounting run even when a worker
         // panicked — the tree is structurally finished either way.
@@ -443,7 +451,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         self.counters.batch_coalesced += stats.coalesced;
         self.counters.batch_reused_levels += stats.reused_levels;
         self.counters.batch_deferred_finishes += stats.deferred_finishes;
-        (result, stats, Some(walked))
+        (result, stats, walked)
     }
 }
 

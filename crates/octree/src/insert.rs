@@ -1,10 +1,11 @@
 //! Point-cloud insertion: OctoMap's `insertPointCloud` on top of the
 //! ray-casting integrator — the scalar per-voxel oracle, and one batched
-//! insert whose parallelism is a shard count.
+//! insert that streams the integrator into the batch engine and whose
+//! only parallel stage, the branch walk, takes a shard count.
 
 use omu_geometry::{KeyError, LogOdds, Point3, Scan};
 use omu_pool::TaskPanic;
-use omu_raycast::{IntegrationStats, ScanIntegrator, ScanPipeline};
+use omu_raycast::{IntegrationStats, ScanIntegrator};
 
 use crate::tree::OccupancyOctree;
 
@@ -100,7 +101,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
         Ok(stats)
     }
 
-    /// Reuses the cached sequential integrator when its configuration
+    /// Reuses the cached integrator when its configuration
     /// still matches the tree's, building a fresh one otherwise — the
     /// single place the cache-validity condition lives.
     fn take_scratch_integrator(&mut self) -> ScanIntegrator {
@@ -122,19 +123,13 @@ impl<V: LogOdds> OccupancyOctree<V> {
     }
 
     /// Integrates one scan straight from its origin and point slice
-    /// through the batched update engine, with ray casting and the tree
-    /// apply spread over up to `shards` workers (`0` = one per available
-    /// CPU) — the software mirror of the paper's PE × bank parallelism,
-    /// and the one production scan insert.
-    ///
-    /// A scan that runs inline (one shard, or fewer than
-    /// [`PARALLEL_MIN_POINTS`](omu_raycast::PARALLEL_MIN_POINTS) points)
-    /// streams the tree's sequential integrator straight into the
-    /// Morton-sorted batch walk, so its update stream is never
-    /// materialized. Any other scan fans out through the tree's
-    /// persistent [`ScanPipeline`] (no per-call point-cloud copies), and
-    /// the merged stream is applied by the subtree-sharded walk on the
-    /// tree's worker pool.
+    /// through the batched update engine — the one production scan
+    /// insert. The tree's integrator streams its emission into the
+    /// engine's group-by pass, so the scan's update stream is never
+    /// materialized; the walk then runs on up to `shards` workers
+    /// (`0` = one per available CPU), one first-level branch each — the
+    /// software mirror of the paper's PE × bank parallelism. One resolved
+    /// shard walks sequentially on the calling thread.
     ///
     /// The resulting map is bit-identical to [`Self::insert_scan`], in
     /// both integration modes and at every shard count.
@@ -167,59 +162,14 @@ impl<V: LogOdds> OccupancyOctree<V> {
         points: &[Point3],
         shards: usize,
     ) -> Result<IntegrationStats, ParallelInsertError> {
-        // Resolve `0 = per-CPU` up front, so the inline decision and the
-        // pipeline cache both see the count that actually runs.
-        let shards = ScanPipeline::resolve_shards(shards);
-        if ScanPipeline::would_run_inline(shards, points.len()) {
-            let mut integrator = self.take_scratch_integrator();
-            // Stream the front end's emission straight into the batch
-            // engine's group-by pass: the scan's update stream is never
-            // materialized (a full write+read of ~8 bytes per update
-            // saved).
-            let (result, _) = self.apply_update_stream(|sink| {
-                integrator.integrate_points(origin, points, |u| sink.push(u))
-            });
-            self.scratch_integrator = Some(integrator);
-            let stats = result?;
-            self.counters.dda_steps += stats.dda_steps;
-            return Ok(stats);
-        }
-
-        let mut pipeline = match self.scratch_pipeline.take() {
-            Some(p)
-                if p.mode() == self.integration_mode
-                    && p.max_range() == self.max_range
-                    && p.shards() == shards
-                    && p.front_end() == self.front_end =>
-            {
-                p
-            }
-            _ => ScanPipeline::with_front_end(
-                self.conv,
-                self.max_range,
-                self.integration_mode,
-                shards,
-                self.front_end,
-            ),
-        };
-        // The fan-out runs on the tree's persistent pool: share it with
-        // the pipeline so ray casting and the sharded apply reuse one set
-        // of workers.
-        if pipeline.worker_pool().is_none() {
-            pipeline.set_pool(self.worker_pool_handle());
-        }
-
-        let mut updates = std::mem::take(&mut self.scratch_updates);
-        updates.clear();
-        let result = pipeline.integrate_into(origin, points, &mut updates);
-        self.scratch_pipeline = Some(pipeline);
-        let applied = result.map_err(ParallelInsertError::from).and_then(|stats| {
-            self.apply_update_batch_parallel(&updates, shards)?;
-            Ok(stats)
-        });
-        // Keep the buffer's capacity whatever happened.
-        self.scratch_updates = updates;
-        let stats = applied?;
+        let mut integrator = self.take_scratch_integrator();
+        let (result, _, walked) = self.apply_grouped(
+            |sink| integrator.integrate_points(origin, points, |u| sink.push(u)),
+            shards,
+        );
+        self.scratch_integrator = Some(integrator);
+        let stats = result?;
+        walked?;
         self.counters.dda_steps += stats.dda_steps;
         Ok(stats)
     }
@@ -228,7 +178,7 @@ impl<V: LogOdds> OccupancyOctree<V> {
 #[cfg(test)]
 mod tests {
     use omu_geometry::{Occupancy, Point3, PointCloud, Scan};
-    use omu_raycast::{IntegrationMode, PARALLEL_MIN_POINTS};
+    use omu_raycast::IntegrationMode;
 
     use super::ParallelInsertError;
     use crate::tree::OctreeF32;
@@ -237,8 +187,8 @@ mod tests {
         Scan::new(origin, points.iter().copied().collect::<PointCloud>())
     }
 
-    /// `n` endpoints on a ring — above [`PARALLEL_MIN_POINTS`] a scan of
-    /// them fans out through the pipeline.
+    /// `n` endpoints on a ring around the origin; 1024 of them touch
+    /// enough voxels for the sharded walk to fan out to pool workers.
     fn ring(n: usize) -> Vec<Point3> {
         (0..n)
             .map(|i| {
@@ -398,12 +348,6 @@ mod tests {
             t.scratch_integrator.as_ref().unwrap().front_end(),
             FrontEnd::Scalar
         );
-        t.insert_points(Point3::ZERO, &ring(PARALLEL_MIN_POINTS), 2)
-            .unwrap();
-        assert_eq!(
-            t.scratch_pipeline.as_ref().unwrap().front_end(),
-            FrontEnd::Scalar
-        );
     }
 
     #[test]
@@ -435,29 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shard_count_is_not_cached_stale() {
-        use omu_raycast::ScanPipeline;
-        let mut t = OctreeF32::new(0.1).unwrap();
-        let points = ring(PARALLEL_MIN_POINTS);
-        t.insert_points(Point3::ZERO, &points, 2).unwrap();
-        assert_eq!(t.scratch_pipeline.as_ref().unwrap().shards(), 2);
-        // `0 = per-CPU` must not silently reuse the 2-shard pipeline.
-        t.insert_points(Point3::ZERO, &points, 0).unwrap();
-        if ScanPipeline::resolve_shards(0) > 1 {
-            assert_eq!(
-                t.scratch_pipeline.as_ref().unwrap().shards(),
-                ScanPipeline::resolve_shards(0)
-            );
-        }
-        t.insert_points(Point3::ZERO, &points, 3).unwrap();
-        assert_eq!(t.scratch_pipeline.as_ref().unwrap().shards(), 3);
-    }
-
-    #[test]
     fn borrowed_points_insertion_matches_scan_insertion() {
-        // Above the fan-out threshold: the pipeline path against the
-        // `Scan`-form scalar oracle.
-        let points = ring(PARALLEL_MIN_POINTS + 200);
+        // A scan whose sharded walk fans out, against the `Scan`-form
+        // scalar oracle.
+        let points = ring(1224);
         let origin = Point3::new(0.01, 0.02, 0.01);
         let mut by_scan = OctreeF32::new(0.1).unwrap();
         let a = by_scan.insert_scan(&scan(origin, &points)).unwrap();
@@ -473,8 +398,9 @@ mod tests {
         let mut t = OctreeF32::new(0.1).unwrap();
         let far = Point3::new(t.converter().map_half_extent() + 5.0, 0.0, 0.0);
         assert!(t.insert_scan(&scan(far, &[Point3::ZERO])).is_err());
-        // Both insert paths, inline and fanned out, report it typed.
-        for (points, shards) in [(vec![Point3::ZERO], 1), (ring(PARALLEL_MIN_POINTS), 2)] {
+        // Reported typed at one shard and on a scan big enough for the
+        // sharded walk to fan out.
+        for (points, shards) in [(vec![Point3::ZERO], 1), (ring(1024), 2)] {
             assert!(matches!(
                 t.insert_points(far, &points, shards),
                 Err(ParallelInsertError::Key(_))

@@ -49,8 +49,9 @@
 //! [`WorkerPool`] (no per-call thread spawns) before the shards reattach
 //! and the root spine is finished once — bit-identical to the scalar
 //! path, including operation counters. `insert_points(origin, points,
-//! shards)` is the one production scan insert on top of both: its
-//! parallelism is a shard count, and a worker panic surfaces as a typed
+//! shards)` is the one production scan insert on top of both: the ray
+//! front end streams into the group-by, the shard count sets how many
+//! workers the walk fans out to, and a worker panic surfaces as a typed
 //! [`TaskPanic`] (inside [`ParallelInsertError`]) with every shard
 //! reattached first.
 //!

@@ -153,17 +153,21 @@ fn branch_of(morton: u64) -> usize {
     (morton >> 45) as usize
 }
 
-/// Resolves a requested worker count: `0` means one per available CPU
-/// (same policy as the ray-casting front end), capped at the 8 branch
-/// shards that exist.
+/// Resolves a requested worker count for every parallel path of the
+/// tree: `0` means one per available CPU, and any count is capped at the
+/// 8 branch shards that exist.
 pub(crate) fn resolve_apply_shards(requested: usize) -> usize {
-    omu_raycast::ScanPipeline::resolve_shards(requested).clamp(1, NUM_BRANCHES)
+    let workers = match requested {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    };
+    workers.clamp(1, NUM_BRANCHES)
 }
 
 impl<V: LogOdds> OccupancyOctree<V> {
     /// The subtree-sharded counterpart of the sequential walk: called by
     /// the batch engine after grouping/sorting, with the root already in
-    /// place.
+    /// place, for `workers` (resolved, at least 2) pool workers.
     ///
     /// On a worker panic in the pooled fan-out, every branch shard is
     /// still reattached (the tasks — and therefore the detached shards —
@@ -176,9 +180,8 @@ impl<V: LogOdds> OccupancyOctree<V> {
         scratch: &BatchScratch,
         stats: &mut BatchStats,
         mut root_just_created: bool,
-        shards: usize,
+        workers: usize,
     ) -> Result<(), TaskPanic> {
-        let workers = resolve_apply_shards(shards);
         let root = self.root;
 
         // Pre-step depth 0 on the main thread, once per run of groups in

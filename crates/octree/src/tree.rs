@@ -7,7 +7,7 @@ use omu_geometry::{
     ResolvedParams, VoxelKey, TREE_DEPTH,
 };
 use omu_pool::{PoolStats, WorkerPool};
-use omu_raycast::{FrontEnd, IntegrationMode, ScanIntegrator, ScanPipeline, VoxelUpdate};
+use omu_raycast::{FrontEnd, IntegrationMode, ScanIntegrator};
 use rustc_hash::FxHashSet;
 
 use crate::arena::{handle, Arena, NodeStore};
@@ -37,8 +37,6 @@ pub struct OccupancyOctree<V: LogOdds> {
     pub(crate) front_end: FrontEnd,
     pub(crate) max_range: Option<f64>,
     pub(crate) scratch_integrator: Option<ScanIntegrator>,
-    pub(crate) scratch_pipeline: Option<ScanPipeline>,
-    pub(crate) scratch_updates: Vec<VoxelUpdate>,
     pub(crate) batch_scratch: BatchScratch,
     pub(crate) query_counters: QueryCounters,
     pub(crate) query_scratch: QueryScratch,
@@ -97,8 +95,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
             front_end: FrontEnd::default(),
             max_range: None,
             scratch_integrator: None,
-            scratch_pipeline: None,
-            scratch_updates: Vec::new(),
             batch_scratch: BatchScratch::default(),
             query_counters: QueryCounters::default(),
             query_scratch: QueryScratch::default(),
@@ -109,14 +105,12 @@ impl<V: LogOdds> OccupancyOctree<V> {
     }
 
     /// Installs a shared [`WorkerPool`] for every parallel path on this
-    /// tree (sharded batch apply, parallel queries, the scan front end).
-    /// Without this, the tree creates its own pool on the first parallel
-    /// call. The map facade uses it so read and write paths — and both
-    /// backends of a mixed deployment — reuse one set of warmed workers.
+    /// tree (the sharded walk behind batch applies and scan inserts,
+    /// chunked batch queries and ray casts). Without this, the tree
+    /// creates its own pool on the first parallel call. The map facade
+    /// uses it so read and write paths — and both backends of a mixed
+    /// deployment — reuse one set of warmed workers.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        // The cached pipeline holds a handle to the previous pool; drop
-        // it so the next parallel insert picks up the shared one.
-        self.scratch_pipeline = None;
         self.worker_pool = Some(pool);
     }
 
@@ -134,10 +128,10 @@ impl<V: LogOdds> OccupancyOctree<V> {
         self.worker_pool.as_ref().map(|p| p.stats())
     }
 
-    /// Get-or-create the tree's pool. Capacity covers both the 8 branch
-    /// shards of the write path and a full-width ray-casting fan-out on
-    /// hosts with more cores; workers spawn lazily, so the headroom is
-    /// free until used.
+    /// Get-or-create the tree's pool. Every parallel path splits its work
+    /// into at most the 8 branch shards, so 8 queues cover it; the count
+    /// rounds up to the CPU count on wider hosts, and workers spawn
+    /// lazily, so unused queues cost nothing.
     pub(crate) fn worker_pool_handle(&mut self) -> Arc<WorkerPool> {
         Arc::clone(self.worker_pool.get_or_insert_with(|| {
             let threads = crate::arena::NUM_BRANCHES
@@ -238,7 +232,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
     pub fn set_integration_mode(&mut self, mode: IntegrationMode) {
         self.integration_mode = mode;
         self.scratch_integrator = None;
-        self.scratch_pipeline = None;
     }
 
     /// The scan-integration mode.
@@ -253,7 +246,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
     pub fn set_front_end(&mut self, front_end: FrontEnd) {
         self.front_end = front_end;
         self.scratch_integrator = None;
-        self.scratch_pipeline = None;
     }
 
     /// The DDA front end in use.
@@ -265,7 +257,6 @@ impl<V: LogOdds> OccupancyOctree<V> {
     pub fn set_max_range(&mut self, max_range: Option<f64>) {
         self.max_range = max_range;
         self.scratch_integrator = None;
-        self.scratch_pipeline = None;
     }
 
     /// The configured maximum sensor range.

@@ -1,4 +1,9 @@
 //! Scan integration: turning a point cloud into per-voxel hit/miss updates.
+//!
+//! One sequential [`ScanIntegrator`] casts every ray of a scan, through
+//! either DDA front end, and emits in ray order; DedupPerScan is a
+//! wrapper that collects that raywise emission into per-scan key sets.
+//! Parallelism lives downstream, in the octree's branch-sharded walk.
 
 use omu_geometry::{KeyConverter, KeyError, Point3, Scan, VoxelKey};
 use rustc_hash::FxHashSet;
@@ -192,13 +197,6 @@ impl ScanIntegrator {
         self.front_end
     }
 
-    /// Switches the DDA front end. Both front ends emit bit-identical
-    /// update streams; this exists for benchmarking and as a reference
-    /// fallback.
-    pub fn set_front_end(&mut self, front_end: FrontEnd) {
-        self.front_end = front_end;
-    }
-
     /// Cumulative packet front-end counters (all zero while running
     /// [`FrontEnd::Scalar`]).
     pub fn packet_stats(&self) -> PacketStats {
@@ -224,10 +222,9 @@ impl ScanIntegrator {
 
     /// The borrow-based form of [`Self::integrate`]: casts one ray from
     /// `origin` to every point of `points`, with no `Scan`/`PointCloud`
-    /// wrapper required. This is what the persistent
-    /// [`ScanPipeline`](crate::ScanPipeline) shards call, so a caller that
-    /// already holds a point slice integrates with zero per-call cloud
-    /// copies.
+    /// wrapper required. The octree's `insert_points` streams this
+    /// emission straight into its batch engine, so a caller that already
+    /// holds a point slice integrates with zero per-call cloud copies.
     ///
     /// # Errors
     ///
@@ -245,18 +242,12 @@ impl ScanIntegrator {
         let key_origin = self.conv.coord_to_key(origin)?;
 
         let mut stats = IntegrationStats::default();
-        match (self.mode, self.front_end) {
-            (IntegrationMode::Raywise, FrontEnd::Scalar) => {
-                self.integrate_raywise(origin, points, &mut stats, &mut apply)
+        match self.mode {
+            IntegrationMode::Raywise => {
+                self.cast_raywise(origin, key_origin, points, &mut stats, &mut apply)
             }
-            (IntegrationMode::Raywise, FrontEnd::Packet) => {
-                self.integrate_raywise_packet(origin, key_origin, points, &mut stats, &mut apply)
-            }
-            (IntegrationMode::DedupPerScan, FrontEnd::Scalar) => {
-                self.integrate_dedup(origin, points, &mut stats, &mut apply)
-            }
-            (IntegrationMode::DedupPerScan, FrontEnd::Packet) => {
-                self.integrate_dedup_packet(origin, key_origin, points, &mut stats, &mut apply)
+            IntegrationMode::DedupPerScan => {
+                self.integrate_dedup(origin, key_origin, points, &mut stats, &mut apply)
             }
         }
         Ok(stats)
@@ -277,25 +268,31 @@ impl ScanIntegrator {
         self.integrate(scan, |u| out.push(u))
     }
 
-    /// [`Self::integrate_points`] appending every update to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::integrate`].
-    pub fn integrate_points_into(
-        &mut self,
-        origin: Point3,
-        points: &[Point3],
-        out: &mut Vec<VoxelUpdate>,
-    ) -> Result<IntegrationStats, KeyError> {
-        self.integrate_points(origin, points, |u| out.push(u))
-    }
-
     /// Computes the effective endpoint of a ray under the range limit.
     ///
     /// Returns `(endpoint, truncated)`.
     fn effective_endpoint(&self, origin: Point3, point: Point3) -> (Point3, bool) {
         effective_endpoint(self.max_range, origin, point)
+    }
+
+    /// The raywise emission of the configured front end: every ray's
+    /// traversed cells as misses, then its endpoint as a hit.
+    fn cast_raywise<F>(
+        &mut self,
+        origin: Point3,
+        key_origin: VoxelKey,
+        points: &[Point3],
+        stats: &mut IntegrationStats,
+        apply: &mut F,
+    ) where
+        F: FnMut(VoxelUpdate),
+    {
+        match self.front_end {
+            FrontEnd::Scalar => self.integrate_raywise(origin, points, stats, apply),
+            FrontEnd::Packet => {
+                self.integrate_raywise_packet(origin, key_origin, points, stats, apply)
+            }
+        }
     }
 
     fn integrate_raywise<F>(
@@ -384,10 +381,11 @@ impl ScanIntegrator {
         }
     }
 
-    /// [`FrontEnd::Packet`] form of [`Self::integrate_dedup`]: the cast
-    /// runs through packets, the per-scan key sets and occupied-wins
-    /// emission are unchanged.
-    fn integrate_dedup_packet<F>(
+    /// [`IntegrationMode::DedupPerScan`] over either front end: the
+    /// raywise emission fills the per-scan key sets, in emission order,
+    /// and the sets are then emitted once each, occupied winning over
+    /// free.
+    fn integrate_dedup<F>(
         &mut self,
         origin: Point3,
         key_origin: VoxelKey,
@@ -397,109 +395,45 @@ impl ScanIntegrator {
     ) where
         F: FnMut(VoxelUpdate),
     {
-        self.free_set.clear();
-        self.occupied_set.clear();
-        self.free_set.reserve(self.free_high_water);
-        self.occupied_set.reserve(self.occupied_high_water);
-
-        for chunk in points.chunks(PACKET_LANES) {
-            self.packet
-                .cast(&self.conv, origin, key_origin, chunk, self.max_range);
-            for l in 0..chunk.len() {
-                let hit = match self.packet.outcome(l) {
-                    LaneOutcome::Discarded => {
-                        stats.discarded_points += 1;
-                        continue;
-                    }
-                    LaneOutcome::Truncated => None,
-                    LaneOutcome::Hit(end_key) => Some(end_key),
-                };
-                stats.rays += 1;
-                stats.dda_steps += self.packet.steps(l);
-                for &k in self.packet.keys(l) {
-                    self.free_set.insert(k);
-                }
-                match hit {
-                    Some(end_key) => {
-                        self.occupied_set.insert(end_key);
-                    }
-                    None => stats.truncated_rays += 1,
-                }
-            }
-        }
-
-        // Occupied wins over free within a scan (OctoMap semantics).
-        for &k in &self.free_set {
-            if !self.occupied_set.contains(&k) {
-                apply(VoxelUpdate { key: k, hit: false });
-                stats.free_updates += 1;
-            }
-        }
-        for &k in &self.occupied_set {
-            apply(VoxelUpdate { key: k, hit: true });
-            stats.occupied_updates += 1;
-        }
-        self.free_high_water = self.free_high_water.max(self.free_set.len());
-        self.occupied_high_water = self.occupied_high_water.max(self.occupied_set.len());
-    }
-
-    fn integrate_dedup<F>(
-        &mut self,
-        origin: Point3,
-        points: &[Point3],
-        stats: &mut IntegrationStats,
-        apply: &mut F,
-    ) where
-        F: FnMut(VoxelUpdate),
-    {
-        self.free_set.clear();
-        self.occupied_set.clear();
+        // The sets move out of `self` while the cast borrows it.
+        let mut free_set = std::mem::take(&mut self.free_set);
+        let mut occupied_set = std::mem::take(&mut self.occupied_set);
+        free_set.clear();
+        occupied_set.clear();
         // Steady-state scans are all about the same size: reserving the
         // previous high-water mark up front removes the incremental
         // rehash growth from the per-scan path (clearing keeps capacity,
         // so this only costs anything after a rebuild or an unusually
         // large scan).
-        self.free_set.reserve(self.free_high_water);
-        self.occupied_set.reserve(self.occupied_high_water);
+        free_set.reserve(self.free_high_water);
+        occupied_set.reserve(self.occupied_high_water);
 
-        for &p in points {
-            let (end, truncated) = self.effective_endpoint(origin, p);
-            let Ok(end_key) = self.conv.coord_to_key(end) else {
-                stats.discarded_points += 1;
-                continue;
-            };
-            let steps = match compute_ray_keys(&self.conv, origin, end, &mut self.keyray) {
-                Ok(s) => s,
-                Err(_) => {
-                    stats.discarded_points += 1;
-                    continue;
-                }
-            };
-            stats.rays += 1;
-            stats.dda_steps += steps;
-            for &k in &self.keyray {
-                self.free_set.insert(k);
-            }
-            if truncated {
-                stats.truncated_rays += 1;
+        self.cast_raywise(origin, key_origin, points, stats, &mut |u| {
+            if u.hit {
+                occupied_set.insert(u.key);
             } else {
-                self.occupied_set.insert(end_key);
+                free_set.insert(u.key);
             }
-        }
+        });
 
-        // Occupied wins over free within a scan (OctoMap semantics).
-        for &k in &self.free_set {
-            if !self.occupied_set.contains(&k) {
+        // Occupied wins over free within a scan (OctoMap semantics); the
+        // raywise counts become post-dedup counts.
+        stats.free_updates = 0;
+        stats.occupied_updates = 0;
+        for &k in &free_set {
+            if !occupied_set.contains(&k) {
                 apply(VoxelUpdate { key: k, hit: false });
                 stats.free_updates += 1;
             }
         }
-        for &k in &self.occupied_set {
+        for &k in &occupied_set {
             apply(VoxelUpdate { key: k, hit: true });
             stats.occupied_updates += 1;
         }
-        self.free_high_water = self.free_high_water.max(self.free_set.len());
-        self.occupied_high_water = self.occupied_high_water.max(self.occupied_set.len());
+        self.free_high_water = self.free_high_water.max(free_set.len());
+        self.occupied_high_water = self.occupied_high_water.max(occupied_set.len());
+        self.free_set = free_set;
+        self.occupied_set = occupied_set;
     }
 }
 

@@ -20,12 +20,9 @@
 //!   hit/miss updates, in either of two modes (see [`IntegrationMode`]):
 //!   the paper's raywise mode (no overlap dedup — what the OMU hardware
 //!   executes and what Table II counts as "voxel updates") and OctoMap's
-//!   software dedup mode.
-//! - [`ScanPipeline`] — the same integration fanned out over contiguous
-//!   ray shards: constructed once, it owns per-shard integrators and
-//!   update buffers and integrates straight from a borrowed
-//!   `(origin, &[Point3])` with zero per-call point-cloud copies; the
-//!   front end of the octree's subtree-sharded update engine.
+//!   software dedup mode. It is the one scan front end: the octree's
+//!   batch engine consumes its emission as it streams, the software
+//!   counterpart of the ray-casting unit feeding the PEs' voxel queues.
 //!
 //! # Examples
 //!
@@ -46,10 +43,8 @@ mod dda;
 mod integrate;
 mod keyray;
 mod packet;
-mod pipeline;
 
 pub use dda::{compute_ray_keys, RayWalk};
 pub use integrate::{IntegrationMode, IntegrationStats, ScanIntegrator, VoxelUpdate};
 pub use keyray::KeyRay;
 pub use packet::{FrontEnd, LaneOutcome, PacketStats, RayPacket, PACKET_LANES};
-pub use pipeline::{ScanPipeline, PARALLEL_MIN_POINTS};

@@ -227,14 +227,18 @@ proptest! {
 
 /// Sensor-model parameters drawn at random, including the unchecked
 /// corners the public fields allow: `hit = 0`, a negative `hit`,
-/// `miss = 0`, a positive `miss` and a `-0.0` clamp bound.
+/// `miss = 0`, a positive `miss` and a `-0.0` clamp bound. Most `-0.0`
+/// bounds come with steps that reach both signed zeros: the step into
+/// the bound pins a voxel there, and the other step is zero, or exactly
+/// cancels it (`t - t` is `+0.0`) with the opposite bound one step away,
+/// so a voxel is `+0.0`, `-0.0` or that bound.
 fn random_params(rng: &mut StdRng) -> OccupancyParams {
-    let hit = match rng.random_range(0..4u8) {
+    let mut hit = match rng.random_range(0..4u8) {
         0 => 0.0,
         1 => rng.random_range(-0.5f32..-0.01),
         _ => rng.random_range(0.01f32..2.0),
     };
-    let miss = match rng.random_range(0..4u8) {
+    let mut miss = match rng.random_range(0..4u8) {
         0 => 0.0,
         1 => rng.random_range(0.01f32..1.0),
         _ => rng.random_range(-1.5f32..-0.01),
@@ -243,9 +247,14 @@ fn random_params(rng: &mut StdRng) -> OccupancyParams {
     let mut clamp_max = rng.random_range(0.1f32..4.0);
     // A `-0.0` bound differs from what a zero step or the opposite bound
     // makes of it only in the sign bit, which `==` cannot see.
-    match rng.random_range(0..4u8) {
+    let step = rng.random_range(0.01f32..2.0);
+    match rng.random_range(0..8u8) {
         0 => clamp_min = -0.0,
         1 => clamp_max = -0.0,
+        2 => (clamp_min, miss, hit) = (-0.0, -step, 0.0),
+        3 => (clamp_min, clamp_max, miss, hit) = (-0.0, step, -step, step),
+        4 => (clamp_max, hit, miss) = (-0.0, step, 0.0),
+        5 => (clamp_min, clamp_max, hit, miss) = (-step, -0.0, step, -step),
         _ => {}
     }
     OccupancyParams {
@@ -257,17 +266,30 @@ fn random_params(rng: &mut StdRng) -> OccupancyParams {
     }
 }
 
-/// One explicit update batch over at most 16 keys packed around the map
-/// centre, so siblings can prune and the keys straddle first-level
-/// branches. It is built from the shapes the run-length replay treats
-/// specially: long miss runs, hit bursts into `clamp_max`, hit/miss
-/// alternation, and random interleavings of several keys.
+/// One explicit update batch over at most 16 keys of the 4×4×4 block
+/// around the map centre. The block straddles the first-level branches,
+/// and the keys start with all 8 siblings of one or two of its finest
+/// octants, so siblings prune and expand again. The batch is built from
+/// the shapes the run-length replay and the prune treat specially: long
+/// miss runs, hit bursts into `clamp_max`, hit/miss alternation, a run in
+/// one direction for every sibling of an octant and then one update the
+/// other way, and random interleavings of several keys.
 fn run_heavy_batch(rng: &mut StdRng) -> Vec<VoxelUpdate> {
-    let nkeys = rng.random_range(1..=16usize);
-    let mut keys: Vec<VoxelKey> = Vec::with_capacity(nkeys);
+    // Octant `o`'s sibling `i`; the block spans 32766..32770 per axis.
+    let sibling = |o: u16, i: u16| {
+        let axis = |bit: u16| 32766 + 2 * (o >> bit & 1) + (i >> bit & 1);
+        VoxelKey::new(axis(0), axis(1), axis(2))
+    };
+    let first = rng.random_range(0..8u16);
+    let octants = [first, (first + rng.random_range(1..8u16)) % 8];
+    let octants = &octants[..rng.random_range(1..=2usize)];
+    let mut keys: Vec<VoxelKey> = octants
+        .iter()
+        .flat_map(|&o| (0..8).map(move |i| sibling(o, i)))
+        .collect();
+    let nkeys = rng.random_range(keys.len()..=16);
     while keys.len() < nkeys {
-        let mut coord = || 32766 + rng.random_range(0..4u16);
-        let key = VoxelKey::new(coord(), coord(), coord());
+        let key = sibling(rng.random_range(0..8u16), rng.random_range(0..8u16));
         if !keys.contains(&key) {
             keys.push(key);
         }
@@ -276,7 +298,7 @@ fn run_heavy_batch(rng: &mut StdRng) -> Vec<VoxelUpdate> {
     let mut batch = Vec::with_capacity(len + 80);
     while batch.len() < len {
         let key = keys[rng.random_range(0..nkeys)];
-        match rng.random_range(0..4u8) {
+        match rng.random_range(0..5u8) {
             0 => {
                 let misses = rng.random_range(1..80usize);
                 batch.extend(std::iter::repeat_n(VoxelUpdate { key, hit: false }, misses));
@@ -291,6 +313,21 @@ fn run_heavy_batch(rng: &mut StdRng) -> Vec<VoxelUpdate> {
                     key,
                     hit: i % 2 == 0,
                 }));
+            }
+            3 => {
+                let o = octants[rng.random_range(0..octants.len())];
+                let hit = rng.random_bool(0.5);
+                for i in 0..8 {
+                    let update = VoxelUpdate {
+                        key: sibling(o, i),
+                        hit,
+                    };
+                    batch.extend(std::iter::repeat_n(update, rng.random_range(1..3usize)));
+                }
+                batch.push(VoxelUpdate {
+                    key: sibling(o, rng.random_range(0..8u16)),
+                    hit: !hit,
+                });
             }
             _ => {
                 for _ in 0..rng.random_range(1..24usize) {
@@ -389,9 +426,9 @@ proptest! {
 }
 
 /// Inserts `scans` through the scalar per-update path and through
-/// `insert_points` at a given shard count (scans of at least
-/// `PARALLEL_MIN_POINTS` points take the `ScanPipeline` front end +
-/// `apply_update_batch_parallel`), and demands bit-identical trees.
+/// `insert_points` at a given shard count (the integrator streams into
+/// the group-by, and above one shard the branch-sharded walk applies the
+/// batch), and demands bit-identical trees.
 fn assert_sharded_equivalence<V: omu::geometry::LogOdds>(
     scans: &[Scan],
     pruning: bool,
@@ -594,9 +631,9 @@ fn sharded_parallel_handles_branch_straddling_batches() {
 
 #[test]
 fn sharded_dedup_unions_lanes_above_the_fan_out_threshold() {
-    // Every other dedup case runs on one pipeline lane (fewer than
-    // `PARALLEL_MIN_POINTS` points); 3000 points fan out, so the per-lane
-    // key sets must union into the scan-global sets of the scalar path.
+    // 3000-point dedup scans: the integrator's scan-global key sets feed
+    // a batch large enough for the sharded walk to fan out to pool
+    // workers, and must still match the scalar path bit for bit.
     let scans = random_scans(0xD3D0, 2, 3000);
     for shards in [2, 8] {
         assert_sharded_equivalence::<f32>(&scans, true, IntegrationMode::DedupPerScan, shards, 0.1);

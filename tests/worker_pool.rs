@@ -16,8 +16,8 @@ use omu::raycast::VoxelUpdate;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A scan big enough to clear every parallel amortization threshold
-/// (`PARALLEL_MIN_POINTS`, `PARALLEL_APPLY_MIN_KEYS`).
+/// A scan big enough for the sharded walk to fan out over the pool
+/// (`PARALLEL_APPLY_MIN_KEYS` unique voxels).
 fn big_scan(seed: u64) -> Scan {
     let mut rng = StdRng::seed_from_u64(seed);
     let cloud: PointCloud = (0..3000)
