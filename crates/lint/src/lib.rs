@@ -38,14 +38,12 @@
 //!   writes that go through `DurableDir`/`DurableFile`; a stray
 //!   `fs::write` elsewhere is a torn-file bug waiting for a power cut.
 //!
-//! Pre-existing violations are grandfathered in a committed baseline
-//! (`omu-lint.baseline`) so the gate fails only on *new* ones while the
-//! old ones stay visible and counted. Run with
-//! `cargo run -p omu-lint` from the workspace root.
+//! Every finding fails the gate; the one escape hatch is a justified
+//! suppression comment (L5). Run with `cargo run -p omu-lint` from the
+//! workspace root.
 //!
 //! [`WorkerPool`]: https://docs.rs/omu-pool
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 pub mod walk;
@@ -54,7 +52,6 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-pub use baseline::Baseline;
 pub use rules::{Rule, Violation};
 pub use walk::{discover, FileClass, SourceFile};
 
@@ -63,50 +60,31 @@ pub use walk::{discover, FileClass, SourceFile};
 pub struct Report {
     /// Number of source files discovered and linted.
     pub files_checked: usize,
-    /// Violations not covered by the baseline — these fail the gate.
-    pub fresh: Vec<Violation>,
-    /// Baseline-covered (grandfathered) violations.
-    pub grandfathered: Vec<Violation>,
-    /// Baseline entries that no longer match anything — stale debt that
-    /// should be pruned with `--update-baseline`.
-    pub stale_baseline: usize,
+    /// Every un-suppressed violation — any one fails the gate.
+    pub violations: Vec<Violation>,
 }
 
 impl Report {
-    /// True when no fresh (non-grandfathered) violations were found.
+    /// True when no violation was found.
     pub fn is_clean(&self) -> bool {
-        self.fresh.is_empty()
+        self.violations.is_empty()
     }
 }
 
-/// Lint every source under `root` against `baseline`.
-pub fn run(root: &Path, baseline: &Baseline) -> io::Result<Report> {
+/// Lint every source under `root`.
+pub fn run(root: &Path) -> io::Result<Report> {
     let files = discover(root)?;
-    let mut all = Vec::new();
+    let mut violations = Vec::new();
     for file in &files {
         let raw = fs::read_to_string(&file.abs_path)?;
         let lexed = lexer::lex(&raw);
-        all.extend(rules::check_file(file, &raw, &lexed));
+        violations.extend(rules::check_file(file, &raw, &lexed));
     }
-    let total = all.len();
-    let (fresh, grandfathered) = baseline.split(all);
-    let stale_baseline = baseline.len().saturating_sub(total - fresh.len());
     Ok(Report {
         files_checked: files.len(),
-        fresh,
-        grandfathered,
-        stale_baseline,
+        violations,
     })
 }
-
-/// Lint a tree with the baseline conventionally located at its root.
-pub fn run_with_default_baseline(root: &Path) -> io::Result<Report> {
-    let baseline = Baseline::load(&root.join(BASELINE_FILE))?;
-    run(root, &baseline)
-}
-
-/// Conventional baseline filename at the workspace root.
-pub const BASELINE_FILE: &str = "omu-lint.baseline";
 
 #[cfg(test)]
 mod tests {
@@ -116,9 +94,7 @@ mod tests {
     fn report_clean_logic() {
         let r = Report {
             files_checked: 1,
-            fresh: vec![],
-            grandfathered: vec![],
-            stale_baseline: 0,
+            violations: vec![],
         };
         assert!(r.is_clean());
     }

@@ -1,37 +1,26 @@
 //! CLI front end for the workspace invariant checker.
 //!
 //! ```text
-//! cargo run -p omu-lint                  # gate: fail on new violations
-//! cargo run -p omu-lint -- --update-baseline
+//! cargo run -p omu-lint                  # gate: fail on any violation
 //! cargo run -p omu-lint -- --root <dir>  # lint another tree (fixtures)
 //! cargo run -p omu-lint -- --rules       # list rules
-//! cargo run -p omu-lint -- --verbose     # also print grandfathered hits
 //! ```
 //!
-//! Exit codes: `0` clean (baseline-covered debt allowed), `1` new
-//! violations, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` violations, `2` usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use omu_lint::{Baseline, Rule, BASELINE_FILE};
+use omu_lint::Rule;
 
 struct Options {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    update_baseline: bool,
-    verbose: bool,
     list_rules: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: None,
-        baseline: None,
-        no_baseline: false,
-        update_baseline: false,
-        verbose: false,
         list_rules: false,
     };
     let mut args = std::env::args().skip(1);
@@ -41,13 +30,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--root needs a directory")?;
                 opts.root = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = args.next().ok_or("--baseline needs a file")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
-            "--no-baseline" => opts.no_baseline = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--verbose" | "-v" => opts.verbose = true,
             "--rules" => opts.list_rules = true,
             "--help" | "-h" => {
                 print_help();
@@ -62,12 +44,11 @@ fn parse_args() -> Result<Options, String> {
 fn print_help() {
     println!(
         "omu-lint: enforce the workspace's unsafe/panic/thread/handle-bit discipline\n\n\
-         USAGE: omu-lint [--root DIR] [--baseline FILE | --no-baseline]\n\
-         \x20                [--update-baseline] [--verbose] [--rules]\n\n\
+         USAGE: omu-lint [--root DIR] [--rules]\n\n\
          Suppress a single finding with a justified comment on (or right above)\n\
          the offending line:\n\
          \x20   // omu-lint: allow(no-panic) — length checked two lines up\n\n\
-         Exit codes: 0 clean, 1 new violations, 2 usage/io error."
+         Exit codes: 0 clean, 1 violations, 2 usage/io error."
     );
 }
 
@@ -110,23 +91,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join(BASELINE_FILE));
-    let baseline = if opts.no_baseline {
-        Baseline::default()
-    } else {
-        match Baseline::load(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("omu-lint: reading {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let report = match omu_lint::run(&root, &baseline) {
+    let report = match omu_lint::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("omu-lint: {e}");
@@ -142,42 +107,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if opts.update_baseline {
-        let mut all = report.fresh.clone();
-        all.extend(report.grandfathered.iter().cloned());
-        let text = Baseline::render(&all);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("omu-lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "omu-lint: baseline rewritten with {} entries -> {}",
-            all.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if opts.verbose {
-        for v in &report.grandfathered {
-            println!(
-                "{} {}:{}: {} (baselined)",
-                v.rule, v.path, v.line, v.message
-            );
-        }
-    }
-    for v in &report.fresh {
+    for v in &report.violations {
         println!("{} {}:{}: {}", v.rule, v.path, v.line, v.message);
         println!("    {}", v.excerpt);
     }
 
     println!(
-        "omu-lint: {} files checked, {} new violation(s), {} grandfathered, {} stale baseline entr{}",
+        "omu-lint: {} files checked, {} violation(s)",
         report.files_checked,
-        report.fresh.len(),
-        report.grandfathered.len(),
-        report.stale_baseline,
-        if report.stale_baseline == 1 { "y" } else { "ies" },
+        report.violations.len(),
     );
 
     if report.is_clean() {

@@ -3,8 +3,8 @@
 //! Each rule guards a discipline the parallel engines' bit-identity
 //! promise rests on; see the README's "Correctness tooling" section for
 //! the full rationale. Rule IDs are stable — they appear in suppression
-//! comments and in the committed baseline file, so renaming one is a
-//! breaking change to both.
+//! comments, so renaming one is a breaking change to every suppression
+//! that names it.
 
 use crate::lexer::{find_word, LexedFile};
 use crate::walk::SourceFile;
@@ -58,7 +58,7 @@ impl Rule {
         }
     }
 
-    /// The stable slug used in `allow(...)` comments and the baseline.
+    /// The stable slug used in `allow(...)` comments.
     pub fn slug(self) -> &'static str {
         match self {
             Rule::SafetyComment => "safety-comment",
@@ -95,20 +95,10 @@ pub struct Violation {
     pub path: String,
     /// 1-based line number.
     pub line: usize,
-    /// The trimmed raw source line, for the baseline fingerprint and the
-    /// human report.
+    /// The trimmed raw source line, for the human report.
     pub excerpt: String,
     /// Human-readable explanation of what tripped and how to fix it.
     pub message: String,
-}
-
-impl Violation {
-    /// The baseline fingerprint: rule + path + line *content* (not line
-    /// number), so unrelated edits above a grandfathered violation don't
-    /// un-baseline it.
-    pub fn fingerprint(&self) -> String {
-        format!("{}\t{}\t{}", self.rule.slug(), self.path, self.excerpt)
-    }
 }
 
 /// A parsed `// omu-lint: allow(no-panic) — reason` suppression.

@@ -58,7 +58,7 @@ pub struct SourceFile {
     /// Absolute on-disk path, for reading the contents.
     pub abs_path: PathBuf,
     /// Workspace-relative, `/`-separated (stable across hosts — this is
-    /// what goes into diagnostics and the baseline).
+    /// what goes into diagnostics).
     pub rel_path: String,
     /// The `<name>` in `crates/<name>/…`, when the file belongs to one.
     pub crate_name: Option<String>,

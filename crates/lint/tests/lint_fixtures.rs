@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use omu_lint::{Baseline, Rule};
+use omu_lint::Rule;
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -15,14 +15,14 @@ fn fixture_root(name: &str) -> PathBuf {
 }
 
 fn lint(name: &str) -> omu_lint::Report {
-    omu_lint::run(&fixture_root(name), &Baseline::default()).expect("fixture tree lints")
+    omu_lint::run(&fixture_root(name)).expect("fixture tree lints")
 }
 
 #[test]
 fn violations_fixture_trips_every_rule() {
     let report = lint("violations");
     let hits: Vec<(Rule, &str, usize)> = report
-        .fresh
+        .violations
         .iter()
         .map(|v| (v.rule, v.path.as_str(), v.line))
         .collect();
@@ -75,24 +75,9 @@ fn violations_fixture_trips_every_rule() {
 fn clean_fixture_is_spotless() {
     let report = lint("clean");
     assert!(
-        report.fresh.is_empty() && report.grandfathered.is_empty(),
+        report.violations.is_empty(),
         "clean fixture must produce no diagnostics: {:#?}",
-        report.fresh
+        report.violations
     );
     assert!(report.files_checked >= 2, "fixture files were discovered");
-}
-
-#[test]
-fn baseline_grandfathers_fixture_violations() {
-    let root = fixture_root("violations");
-    let no_baseline = omu_lint::run(&root, &Baseline::default()).expect("lints");
-    assert!(!no_baseline.is_clean());
-
-    // Baselining everything turns the report green without deleting the
-    // violations — they move to the grandfathered bucket.
-    let baseline = Baseline::parse(&Baseline::render(&no_baseline.fresh));
-    let grandfathered = omu_lint::run(&root, &baseline).expect("lints");
-    assert!(grandfathered.is_clean());
-    assert_eq!(grandfathered.grandfathered.len(), no_baseline.fresh.len());
-    assert_eq!(grandfathered.stale_baseline, 0);
 }

@@ -21,7 +21,9 @@ use crate::error::MapError;
 /// The trait is object-safe: the facade holds a `&mut dyn MapBackend`
 /// while serving queries, so backend selection is a runtime value.
 /// Queries take `&mut self` because the accelerator's voxel query unit
-/// accounts cycles per query.
+/// accounts cycles per query and the software tree adds each cursor
+/// read's [`QueryCounters`] to its own. Every query runs on the
+/// caller's thread.
 pub trait MapBackend: std::fmt::Debug {
     /// A short human-readable backend name (`"software"` /
     /// `"accelerator"`).
@@ -61,12 +63,11 @@ pub trait MapBackend: std::fmt::Debug {
     fn occupancy(&mut self, key: VoxelKey) -> Occupancy;
 
     /// Classifies a batch of voxel keys, in input order, through the
-    /// backend's batched query engine: Morton-coalesced cached descent
-    /// on the software tree (chunked across up to `shards` threads), the
-    /// voxel query unit's register-file path on the accelerator (a single
-    /// modeled device — `shards` is ignored). Bit-identical to calling
-    /// [`Self::occupancy`] per key.
-    fn occupancy_batch(&mut self, keys: &[VoxelKey], shards: usize) -> Vec<Occupancy>;
+    /// backend's batched query engine: one Morton-coalesced cursor sweep
+    /// on the software tree, the voxel query unit's register-file path on
+    /// the accelerator. Bit-identical to calling [`Self::occupancy`] per
+    /// key.
+    fn occupancy_batch(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy>;
 
     /// Casts one query ray through the backend's cached-descent path.
     /// Same contract and result as the probe-per-step path the facade
@@ -85,19 +86,18 @@ pub trait MapBackend: std::fmt::Debug {
         ignore_unknown: bool,
     ) -> Result<RayCastResult, MapError>;
 
-    /// Casts a batch of query rays, in input order; the software backend
-    /// chunks the batch across up to `shards` threads, each with its own
-    /// descent cursor.
+    /// Casts a batch of query rays, in input order, through one descent
+    /// cursor (the voxel query unit on the accelerator).
     ///
     /// # Errors
     ///
-    /// The first [`MapError::OutOfBounds`] in input order.
+    /// The first [`MapError::OutOfBounds`] in input order; no ray after
+    /// it is cast.
     fn cast_rays(
         &mut self,
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
-        shards: usize,
     ) -> Result<Vec<RayCastResult>, MapError>;
 
     /// Sphere collision probe through the backend's cached-descent path.
@@ -199,12 +199,8 @@ impl<V: LogOdds> MapBackend for OccupancyOctree<V> {
         OccupancyOctree::occupancy(self, key)
     }
 
-    fn occupancy_batch(&mut self, keys: &[VoxelKey], shards: usize) -> Vec<Occupancy> {
-        if shards == 1 {
-            self.query_batch(keys).to_vec()
-        } else {
-            self.query_batch_parallel(keys, shards).to_vec()
-        }
+    fn occupancy_batch(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy> {
+        self.with_reader(|r| r.query_batch(keys))
     }
 
     fn cast_ray(
@@ -214,7 +210,7 @@ impl<V: LogOdds> MapBackend for OccupancyOctree<V> {
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<RayCastResult, MapError> {
-        Ok(self.cast_ray_cached(origin, direction, max_range, ignore_unknown)?)
+        Ok(self.with_reader(|r| r.cast_ray(origin, direction, max_range, ignore_unknown))?)
     }
 
     fn cast_rays(
@@ -222,19 +218,12 @@ impl<V: LogOdds> MapBackend for OccupancyOctree<V> {
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
-        shards: usize,
     ) -> Result<Vec<RayCastResult>, MapError> {
-        Ok(OccupancyOctree::cast_rays(
-            self,
-            rays,
-            max_range,
-            ignore_unknown,
-            shards,
-        )?)
+        Ok(self.with_reader(|r| r.cast_rays(rays, max_range, ignore_unknown))?)
     }
 
     fn collides_sphere(&mut self, center: Point3, radius: f64) -> Result<bool, MapError> {
-        Ok(self.collides_sphere_cached(center, radius)?)
+        Ok(self.with_reader(|r| r.collides_sphere(center, radius))?)
     }
 
     fn take_query_counters(&mut self) -> Option<QueryCounters> {
@@ -315,8 +304,7 @@ impl MapBackend for OmuAccelerator {
         self.query_key(key)
     }
 
-    fn occupancy_batch(&mut self, keys: &[VoxelKey], _shards: usize) -> Vec<Occupancy> {
-        // One modeled device: host-side sharding does not apply.
+    fn occupancy_batch(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy> {
         self.query_batch(keys)
     }
 
@@ -341,7 +329,6 @@ impl MapBackend for OmuAccelerator {
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
-        _shards: usize,
     ) -> Result<Vec<RayCastResult>, MapError> {
         Ok(OmuAccelerator::cast_rays(
             self,

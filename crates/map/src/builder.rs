@@ -8,7 +8,7 @@ use omu_geometry::OccupancyParams;
 use omu_octree::{OctreeF32, OctreeFixed, WorkerPool};
 use omu_raycast::{FrontEnd, IntegrationMode};
 
-use crate::durable::{DurabilityPolicy, DurableDir, FaultPlan, FaultyDir, RealDir};
+use crate::durable::{DurabilityPolicy, DurableDir, RealDir};
 use crate::engine::Engine;
 use crate::error::MapError;
 use crate::map::{Inner, OccupancyMap};
@@ -109,7 +109,6 @@ pub struct MapBuilder {
     task_shuffle_seed: Option<u64>,
     pub(crate) durability: Option<(DurabilityTarget, DurabilityPolicy)>,
     pub(crate) queue_capacity: Option<usize>,
-    pub(crate) fault_plan: Option<FaultPlan>,
 }
 
 impl MapBuilder {
@@ -132,7 +131,6 @@ impl MapBuilder {
             task_shuffle_seed: None,
             durability: None,
             queue_capacity: None,
-            fault_plan: None,
         }
     }
 
@@ -183,9 +181,10 @@ impl MapBuilder {
         self
     }
 
-    /// Sets the size of the persistent worker pool that backs every
-    /// parallel path of the software backends (the sharded tree walk
-    /// behind every insert, chunked batch reads and ray casts). `0` (the
+    /// Sets the size of the persistent worker pool behind the software
+    /// backends' one parallel path, the sharded tree walk of a
+    /// multi-shard insert. Reads never use it: they run on the caller's
+    /// thread, and parallel reads go through snapshots. `0` (the
     /// default) resolves to `max(8, available CPUs)` — 8 because the
     /// sharded write engine splits work by first-level branch, of which
     /// there are exactly 8. Workers spawn lazily on first use and persist for
@@ -256,19 +255,8 @@ impl MapBuilder {
         self
     }
 
-    /// Injects a scripted [`FaultPlan`] into the durability store —
-    /// every mutating storage operation runs through the plan's fault
-    /// schedule. Also settable process-wide via the
-    /// `OMU_DURABILITY_FAULT_SEED` environment variable (the builder
-    /// knob wins). No effect without [`Self::durability`].
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Resolves the durability knobs into a live store: path targets
-    /// become [`RealDir`]s, and a configured (or environment-selected)
-    /// fault plan wraps the store in a [`FaultyDir`].
+    /// become [`RealDir`]s, injected stores are used as given.
     pub(crate) fn durability_setup(&self) -> Result<DurabilitySetup, MapError> {
         let Some((target, policy)) = &self.durability else {
             return Ok(None);
@@ -276,11 +264,6 @@ impl MapBuilder {
         let store: Arc<dyn DurableDir> = match target {
             DurabilityTarget::Path(p) => Arc::new(RealDir::create(p.clone())?),
             DurabilityTarget::Store(s) => Arc::clone(s),
-        };
-        let plan = self.fault_plan.clone().or_else(FaultPlan::from_env);
-        let store = match plan {
-            Some(plan) if !plan.is_empty() => Arc::new(FaultyDir::new(store, plan)) as _,
-            _ => store,
         };
         Ok(Some((store, *policy)))
     }

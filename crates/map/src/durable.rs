@@ -195,11 +195,9 @@ pub enum FaultKind {
 /// fault)` pairs over the sequence of mutating [`DurableDir`] /
 /// [`DurableFile`] operations.
 ///
-/// Built explicitly with [`FaultPlan::fail_at`], derived from a seed
-/// with [`FaultPlan::seeded`], or taken from the
-/// `OMU_DURABILITY_FAULT_SEED` environment variable with
-/// [`FaultPlan::from_env`] (the same reproduction idiom as
-/// `OMU_POOL_SHUFFLE_SEED`).
+/// Built explicitly with [`FaultPlan::fail_at`] or derived from a seed
+/// with [`FaultPlan::seeded`], and applied by wrapping a store in a
+/// [`FaultyDir`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultPlan {
     faults: Vec<(u64, FaultKind)>,
@@ -232,41 +230,12 @@ impl FaultPlan {
         FaultPlan::new().fail_at(op, kind)
     }
 
-    /// Builds a seeded plan from `OMU_DURABILITY_FAULT_SEED` (decimal
-    /// or `0x`-prefixed hex), or `None` when the variable is unset.
-    /// The horizon is fixed at 64 mutating operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but unparsable — a misspelled
-    /// reproduction seed must not silently run faultless.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("OMU_DURABILITY_FAULT_SEED").ok()?;
-        let raw = raw.trim();
-        let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16).ok(),
-            None => raw.parse().ok(),
-        };
-        let seed = parsed
-            // omu-lint: allow(no-panic) — a corrupted reproduction seed must
-            // abort the run loudly, exactly like the stress suites' seed
-            // parsing; continuing without the requested faults would fake a
-            // passing result.
-            .unwrap_or_else(|| panic!("unparsable OMU_DURABILITY_FAULT_SEED: {raw:?}"));
-        Some(FaultPlan::seeded(seed, 64))
-    }
-
     /// The fault scheduled at `op`, if any.
     fn fault_for(&self, op: u64) -> Option<FaultKind> {
         self.faults
             .iter()
             .find(|&&(at, _)| at == op)
             .map(|&(_, kind)| kind)
-    }
-
-    /// True when no fault is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
     }
 }
 

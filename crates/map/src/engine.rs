@@ -80,15 +80,6 @@ impl Engine {
         }
     }
 
-    /// The worker-shard count the software read and write paths use (`1`
-    /// for [`Engine::Scalar`]).
-    pub fn shards(&self) -> usize {
-        match self {
-            Engine::Scalar => 1,
-            Engine::Sharded { shards } => *shards,
-        }
-    }
-
     /// Validates the engine's parameters (shard count in
     /// 1 ..= [`MAX_SHARDS`]).
     ///

@@ -164,13 +164,6 @@ impl OccupancyMap {
         self.backend_mut().insert_points(origin, points, engine)
     }
 
-    /// The worker count the read path shares with the write engine:
-    /// `&self` queries are embarrassingly parallel, so read batches fan
-    /// out across the same number of shards the engine uses for updates.
-    fn read_shards(&self) -> usize {
-        self.engine.shards()
-    }
-
     /// Occupancy classification of the voxel at `key`.
     pub fn occupancy(&mut self, key: VoxelKey) -> Occupancy {
         self.backend_mut().occupancy(key)
@@ -238,34 +231,33 @@ impl OccupancyMap {
             .cast_ray(origin, direction, max_range, ignore_unknown)
     }
 
-    /// Casts a batch of query rays (`(origin, direction)` pairs), each
-    /// through a cached-descent cursor, returning results in input
-    /// order. Under a multi-shard engine the software backend chunks the
-    /// batch across its worker shards (`&self` queries are
-    /// embarrassingly parallel); results are bit-identical to casting
-    /// each ray through [`Self::cast_ray`].
+    /// Casts a batch of query rays (`(origin, direction)` pairs) through
+    /// one cached-descent cursor, returning results in input order,
+    /// bit-identical to casting each ray through [`Self::cast_ray`]. The
+    /// engine's shard count does not apply: reads run on the caller's
+    /// thread. To spread a batch over threads, publish a snapshot
+    /// ([`Self::publish_snapshot`]) and give each thread a slice.
     ///
     /// # Errors
     ///
     /// The first [`MapError::OutOfBounds`] (in input order) for a bad
-    /// origin or degenerate direction.
+    /// origin or degenerate direction; no ray after it is cast.
     pub fn cast_rays(
         &mut self,
         rays: &[(Point3, Point3)],
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<Vec<RayCastResult>, MapError> {
-        let shards = self.read_shards();
         self.backend_mut()
-            .cast_rays(rays, max_range, ignore_unknown, shards)
+            .cast_rays(rays, max_range, ignore_unknown)
     }
 
     /// Classifies a batch of points, returning occupancies in input
     /// order through the backend's batched query engine — the software
-    /// tree Morton-sorts the batch for one cached-descent sweep (chunked
-    /// across the engine's worker shards under a multi-shard engine);
-    /// the accelerator serves it through the voxel query unit's register
-    /// file. Bit-identical to calling [`Self::occupancy_at`] per point.
+    /// tree Morton-sorts the batch for one cached-descent sweep on the
+    /// caller's thread; the accelerator serves it through the voxel
+    /// query unit's register file. Bit-identical to calling
+    /// [`Self::occupancy_at`] per point.
     ///
     /// # Errors
     ///
@@ -283,8 +275,7 @@ impl OccupancyMap {
     /// [`Self::occupancy_batch`] by voxel key (keys are always
     /// addressable, so this form is infallible).
     pub fn occupancy_batch_keys(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy> {
-        let shards = self.read_shards();
-        self.backend_mut().occupancy_batch(keys, shards)
+        self.backend_mut().occupancy_batch(keys)
     }
 
     /// Collision probe: does a sphere of radius `radius` at `center`
@@ -380,9 +371,9 @@ impl OccupancyMap {
     }
 
     /// Cumulative statistics of the persistent worker pool behind the
-    /// software backends' parallel paths, if one has been created (the
-    /// pool is lazy: it first exists after a parallel insert or batch
-    /// read, or up front via
+    /// software backends' sharded insert, if one has been created (the
+    /// pool is lazy: it first exists after a parallel insert, or up
+    /// front via
     /// [`MapBuilder::worker_threads`](crate::MapBuilder::worker_threads)).
     /// `threads_spawned` staying flat across calls is the observable
     /// "zero per-call thread spawns" guarantee; `None` on the
@@ -737,6 +728,22 @@ mod tests {
             sw.query_counters().unwrap() == Default::default(),
             "drained"
         );
+
+        let origin = Point3::new(0.01, 0.01, 0.2);
+        let rays = [
+            (origin, Point3::new(1.0, 0.0, 0.0)),
+            (origin, Point3::new(0.0, 1.0, 0.0)),
+            (origin, Point3::new(-1.0, 0.0, 0.0)),
+        ];
+        sw.cast_rays(&rays, 5.0, true).unwrap();
+        let c = sw.query_counters().unwrap();
+        assert_eq!(c.rays, 3);
+        assert!(c.probes > 0 && c.reused_levels > 0);
+        // A miss sweeps every voxel of the ball's bounding cube.
+        assert!(!sw.collides_sphere(Point3::new(0.5, 0.0, 0.2), 0.2).unwrap());
+        let c = sw.query_counters().unwrap();
+        assert_eq!((c.rays, c.batch_queries), (0, 0));
+        assert_eq!(c.probes, 5 * 5 * 5, "one probe per voxel of the cube");
 
         let mut hw = MapBuilder::new(0.1)
             .backend(Backend::Accelerator(OmuConfig::default()))

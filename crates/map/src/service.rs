@@ -53,7 +53,7 @@ use omu_octree::{LeafInfo, RayCastResult, Snapshot, SnapshotStats, TaskPanic, Wo
 use omu_pool::{spawn_service, ServiceThread};
 
 use crate::builder::MapBuilder;
-use crate::durable::{DurabilityPolicy, DurableDir, DurableFile, FaultPlan, FaultyDir, RealDir};
+use crate::durable::{DurabilityPolicy, DurableDir, DurableFile, RealDir};
 use crate::error::MapError;
 use crate::map::OccupancyMap;
 use crate::wal::{
@@ -162,7 +162,7 @@ impl MapSnapshot {
 
     /// [`Self::occupancy_batch`] by voxel key (infallible).
     pub fn occupancy_batch_keys(&self, keys: &[VoxelKey]) -> Vec<Occupancy> {
-        with_snap!(self, s => s.query_batch(keys))
+        with_snap!(self, s => s.reader().query_batch(keys))
     }
 
     /// Casts a query ray (OctoMap `castRay` semantics, identical to
@@ -179,7 +179,10 @@ impl MapSnapshot {
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<RayCastResult, MapError> {
-        Ok(with_snap!(self, s => s.cast_ray(origin, direction, max_range, ignore_unknown))?)
+        let hit = with_snap!(self, s => {
+            s.reader().cast_ray(origin, direction, max_range, ignore_unknown)
+        });
+        Ok(hit?)
     }
 
     /// Casts a batch of query rays through one cached-descent reader,
@@ -196,7 +199,7 @@ impl MapSnapshot {
         max_range: f64,
         ignore_unknown: bool,
     ) -> Result<Vec<RayCastResult>, MapError> {
-        Ok(with_snap!(self, s => s.cast_rays(rays, max_range, ignore_unknown))?)
+        Ok(with_snap!(self, s => s.reader().cast_rays(rays, max_range, ignore_unknown))?)
     }
 
     /// Sphere collision probe (the motion-planning query of the paper's
@@ -206,7 +209,7 @@ impl MapSnapshot {
     ///
     /// [`MapError::OutOfBounds`] when the probe region leaves the map.
     pub fn collides_sphere(&self, center: Point3, radius: f64) -> Result<bool, MapError> {
-        Ok(with_snap!(self, s => s.collides_sphere(center, radius))?)
+        Ok(with_snap!(self, s => s.reader().collides_sphere(center, radius))?)
     }
 
     /// The leaves intersecting the key box `[min, max]`, inclusive per
@@ -466,10 +469,8 @@ impl MapService {
     }
 
     /// [`Self::recover`] against an injected storage backend — the
-    /// entry point the fault-injection suite drives. A fault plan on
-    /// the builder (or `OMU_DURABILITY_FAULT_SEED`) wraps `store` in a
-    /// [`FaultyDir`]; pass a pre-wrapped store with a plain builder to
-    /// control fault indices exactly.
+    /// entry point the fault-injection suite drives, passing a
+    /// [`FaultyDir`](crate::FaultyDir)-wrapped store.
     ///
     /// # Errors
     ///
@@ -481,11 +482,6 @@ impl MapService {
         let policy = builder
             .durability_policy()
             .unwrap_or(DurabilityPolicy::EveryNEpochs(DEFAULT_CHECKPOINT_EPOCHS));
-        let plan = builder.fault_plan.clone().or_else(FaultPlan::from_env);
-        let store: Arc<dyn DurableDir> = match plan {
-            Some(plan) if !plan.is_empty() => Arc::new(FaultyDir::new(store, plan)) as _,
-            _ => store,
-        };
         let builder = builder.change_detection(true);
         let names = store.list().map_err(MapError::Io)?;
 

@@ -58,8 +58,8 @@ pub struct OpCounters {
 }
 
 /// Cumulative read-side operation counts — the query mirror of
-/// [`OpCounters`], fed by the cached-descent cursor and the batched
-/// query engine (see the `query_batch` module).
+/// [`OpCounters`], kept by each cached-descent cursor (see the
+/// `query_batch` module).
 ///
 /// The interesting ratio is `reused_levels` against
 /// `reused_levels + node_visits`: the fraction of descent work the
@@ -78,7 +78,7 @@ pub struct QueryCounters {
     /// Query rays cast through the cursor path.
     pub rays: u64,
     /// Probes served through the batched query engine
-    /// (`query_batch` and the sharded read path).
+    /// ([`DescentCursor::query_batch`](crate::DescentCursor::query_batch)).
     pub batch_queries: u64,
     /// Batched probes answered from the previous key's result because the
     /// Morton sort made duplicates adjacent (no descent at all).

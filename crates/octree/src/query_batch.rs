@@ -1,6 +1,6 @@
-//! The batched query engine: the cached-descent cursor, Morton-coalesced
-//! key batches and a sharded parallel read path — the read-side
-//! counterpart of the `batch` update module.
+//! The batched query engine: the cached-descent cursor and
+//! Morton-coalesced key batches — the read-side counterpart of the
+//! `batch` update module.
 //!
 //! The scalar query path ([`search`](OccupancyOctree::search)) pays a
 //! full root-to-leaf descent per probe. Planner workloads probe in
@@ -11,22 +11,25 @@
 //! common ancestor, so a ray's per-step probe cost drops from O(depth)
 //! to amortized O(1):
 //!
-//! 1. [`DescentCursor`] — a read-only cursor holding the current
-//!    root-to-leaf node path; [`DescentCursor::search`] resumes from the
-//!    deepest level shared with the previous key (computed in one XOR via
+//! 1. [`DescentCursor::search`] resumes from the deepest level shared
+//!    with the previous key (computed in one XOR via
 //!    [`common_prefix_depth`](omu_geometry::VoxelKey::common_prefix_depth)).
-//!    It runs on the crate's one row view, so the same cursor serves the
-//!    live tree ([`query_cursor`](OccupancyOctree::query_cursor)) and an
-//!    epoch snapshot ([`Snapshot::reader`](crate::Snapshot::reader)).
-//! 2. [`query_batch`](OccupancyOctree::query_batch) — sorts a key batch
-//!    by Morton code (subtrees become contiguous runs, maximizing prefix
-//!    reuse), coalesces duplicate keys, serves the sorted order through
-//!    one cursor and permutes results back to input order.
-//! 3. [`cast_rays`](OccupancyOctree::cast_rays) /
-//!    [`query_batch_parallel`](OccupancyOctree::query_batch_parallel) —
-//!    the parallel read path: `&self` queries are embarrassingly
-//!    parallel, so batches are chunked across pool workers, each with its
-//!    own cursor, and per-task [`QueryCounters`] merge after the join.
+//!    The cursor runs on the crate's one row view, so the live tree
+//!    ([`OccupancyOctree::reader`]) and an epoch snapshot
+//!    ([`Snapshot::reader`](crate::Snapshot::reader)) hand out the same
+//!    reader.
+//! 2. [`DescentCursor::query_batch`] sorts a key batch by Morton code
+//!    (subtrees become contiguous runs, maximizing prefix reuse),
+//!    coalesces duplicate keys, serves the sorted order through the
+//!    cursor and permutes results back to input order.
+//! 3. [`DescentCursor::cast_rays`] casts a ray batch through the cursor
+//!    in input order and stops at the first error.
+//!
+//! A cursor serves one thread. Parallel reads publish a
+//! [`Snapshot`](crate::Snapshot) and give each reader thread its own
+//! `reader()`. [`OccupancyOctree::with_reader`] runs a closure on a fresh
+//! live cursor and adds the cursor's counters to
+//! [`OccupancyOctree::query_counters`].
 //!
 //! Every path returns results **bit-identical** to probing the same keys
 //! through the scalar [`search`](OccupancyOctree::search) — the cursor
@@ -40,25 +43,12 @@ use omu_raycast::RayWalk;
 use crate::counters::QueryCounters;
 use crate::node::NIL;
 use crate::query::{cast_ray_resuming, collides_sphere_with, RayCastResult};
-use crate::shard::resolve_apply_shards;
 use crate::snapshot::TreeView;
 use crate::tree::OccupancyOctree;
 
 /// `path[d]` = node at depth `d`; the root lives at index 0 and a finest
 /// leaf at index [`TREE_DEPTH`].
 const PATH_LEN: usize = TREE_DEPTH as usize + 1;
-
-/// Minimum batch size before [`OccupancyOctree::query_batch_parallel`]
-/// fans out to pool workers: below this, task dispatch and the per-chunk
-/// sort cost more than serving the probes sequentially (point probes are
-/// ~100 ns amortized), so the batch takes the sequential cursor sweep
-/// instead — bit-identical results either way.
-pub(crate) const PARALLEL_QUERY_MIN_KEYS: usize = 1024;
-
-/// Minimum ray count before [`OccupancyOctree::cast_rays`] fans out to
-/// pool workers (rays are ~three orders of magnitude heavier than point
-/// probes, so the dispatch cost amortizes much sooner).
-pub(crate) const PARALLEL_CAST_MIN_RAYS: usize = 32;
 
 /// A read-only descent cursor that amortizes root-to-leaf walks across
 /// consecutive probes.
@@ -72,7 +62,7 @@ pub(crate) const PARALLEL_CAST_MIN_RAYS: usize = 32;
 /// Results are bit-identical to [`OccupancyOctree::search`]: the cursor
 /// reads the same rows, it only skips re-reading levels the previous
 /// descent already resolved. The cursor borrows its source — the live
-/// tree ([`OccupancyOctree::query_cursor`]) or an epoch snapshot
+/// tree ([`OccupancyOctree::reader`]) or an epoch snapshot
 /// ([`Snapshot::reader`](crate::Snapshot::reader)) — so the map cannot
 /// change underneath the cached path.
 ///
@@ -88,7 +78,7 @@ pub(crate) const PARALLEL_CAST_MIN_RAYS: usize = 32;
 ///     Point3::ZERO,
 ///     [Point3::new(1.0, 0.0, 0.0)].into_iter().collect::<PointCloud>(),
 /// ))?;
-/// let mut cursor = tree.query_cursor();
+/// let mut cursor = tree.reader();
 /// let a = cursor.search(VoxelKey::ORIGIN);
 /// let b = cursor.search(VoxelKey::new(32769, 32768, 32768));
 /// assert_eq!(a, tree.search(VoxelKey::ORIGIN));
@@ -250,31 +240,67 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
         collides_sphere_with(conv, center, radius, |key| self.occupancy(key))
     }
 
-    /// Classifies `keys` into `results` (resized to `keys.len()`, input
-    /// order) through the Morton-coalesced batch engine — same results as
-    /// [`OccupancyOctree::query_batch`], with the sort scratch owned by
-    /// the cursor.
-    pub fn query_batch(&mut self, keys: &[VoxelKey], results: &mut Vec<Occupancy>) {
-        results.clear();
-        results.resize(keys.len(), Occupancy::Unknown);
+    /// Classifies `keys`, returning occupancies in input order, through
+    /// the Morton-coalesced batch engine, with the sort scratch owned by
+    /// the cursor. The output is bit-identical to calling
+    /// [`Self::occupancy`] per key, in any input order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use omu_geometry::{Occupancy, Point3, PointCloud, Scan, VoxelKey};
+    /// use omu_octree::OctreeF32;
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut tree = OctreeF32::new(0.1)?;
+    /// tree.insert_scan(&Scan::new(
+    ///     Point3::ZERO,
+    ///     [Point3::new(1.0, 0.0, 0.0)].into_iter().collect::<PointCloud>(),
+    /// ))?;
+    /// let keys = [tree.converter().coord_to_key(Point3::new(1.0, 0.0, 0.0))?,
+    ///             VoxelKey::new(100, 100, 100)];
+    /// assert_eq!(
+    ///     tree.reader().query_batch(&keys),
+    ///     [Occupancy::Occupied, Occupancy::Unknown]
+    /// );
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn query_batch(&mut self, keys: &[VoxelKey]) -> Vec<Occupancy> {
+        let mut results = vec![Occupancy::Unknown; keys.len()];
         let mut order = std::mem::take(&mut self.order);
-        self.serve(keys, &mut order, results);
-        self.order = order;
-    }
-
-    /// One [`serve_morton_coalesced`] sweep of `keys` through this
-    /// cursor, counting the batch in the cursor's counters.
-    fn serve(&mut self, keys: &[VoxelKey], order: &mut Vec<(u64, u32)>, results: &mut [Occupancy]) {
         let mut coalesced = 0u64;
         serve_morton_coalesced(
             keys,
-            order,
-            results,
+            &mut order,
+            &mut results,
             |key| self.occupancy(key),
             || coalesced += 1,
         );
+        self.order = order;
         self.counters.batch_queries += keys.len() as u64;
         self.counters.batch_coalesced += coalesced;
+        results
+    }
+
+    /// Casts a batch of query rays (`(origin, direction)` pairs) through
+    /// this cursor, returning results in input order; each equals
+    /// [`Self::cast_ray`] on the same ray.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`KeyError`] in input order (a ray whose origin
+    /// is outside the map or whose direction is degenerate); no ray after
+    /// it is cast.
+    pub fn cast_rays(
+        &mut self,
+        rays: &[(Point3, Point3)],
+        max_range: f64,
+        ignore_unknown: bool,
+    ) -> Result<Vec<RayCastResult>, KeyError> {
+        rays.iter()
+            .map(|&(origin, dir)| self.cast_ray(origin, dir, max_range, ignore_unknown))
+            .collect()
     }
 
     /// The read-side operation counters this cursor accumulated.
@@ -282,27 +308,16 @@ impl<'t, V: LogOdds> DescentCursor<'t, V> {
         &self.counters
     }
 
-    /// Consumes the cursor, returning its counters (callers holding the
-    /// tree mutably merge them into
-    /// [`OccupancyOctree::query_counters`]).
+    /// Consumes the cursor, returning its counters
+    /// ([`OccupancyOctree::with_reader`] merges them into the tree's).
     pub fn into_counters(self) -> QueryCounters {
         self.counters
     }
 }
 
-/// Reusable buffers for the batched query engine, owned by the tree so
-/// steady-state batches allocate nothing.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QueryScratch {
-    /// `(morton code, input index)`, sorted for the coalesced walk.
-    order: Vec<(u64, u32)>,
-    /// Results permuted back to input order.
-    results: Vec<Occupancy>,
-}
-
 /// Serves `keys` through `probe` in Morton-sorted order with duplicate
 /// coalescing — the batch scaffolding shared by the software engine
-/// ([`OccupancyOctree::query_batch`]) and the accelerator's voxel query
+/// ([`DescentCursor::query_batch`]) and the accelerator's voxel query
 /// unit (`OmuAccelerator::query_batch` in `omu-core`).
 ///
 /// `order` is caller-owned scratch (cleared and refilled with sorted
@@ -348,231 +363,25 @@ pub fn serve_morton_coalesced(
     }
 }
 
-/// One fresh cursor's sweep over a key chunk, with caller-owned sort
-/// scratch; returns the cursor's counters.
-fn serve_chunk<V: LogOdds>(
-    view: TreeView<'_, V>,
-    keys: &[VoxelKey],
-    order: &mut Vec<(u64, u32)>,
-    results: &mut [Occupancy],
-) -> QueryCounters {
-    let mut cursor = DescentCursor::new(view);
-    cursor.serve(keys, order, results);
-    cursor.into_counters()
-}
-
 impl<V: LogOdds> OccupancyOctree<V> {
-    /// Borrows the tree as a [`DescentCursor`] for a coherent probe
-    /// stream. The cursor accumulates its own [`QueryCounters`]; the
-    /// `&mut self` entry points ([`Self::query_batch`],
-    /// [`Self::cast_ray_cached`], …) merge them into
-    /// [`Self::query_counters`] automatically.
-    pub fn query_cursor(&self) -> DescentCursor<'_, V> {
+    /// Borrows the live tree as a [`DescentCursor`], the same reader an
+    /// epoch [`Snapshot::reader`](crate::Snapshot::reader) hands out. The
+    /// cursor keeps its own [`QueryCounters`]; [`Self::with_reader`] adds
+    /// them to [`Self::query_counters`].
+    pub fn reader(&self) -> DescentCursor<'_, V> {
         DescentCursor::new(self.view())
     }
 
-    /// Classifies a batch of voxel keys, returning the occupancies in
-    /// input order (the slice lives in tree-owned scratch and is valid
-    /// until the next batched query).
-    ///
-    /// The batch is sorted by Morton code so one [`DescentCursor`] walk
-    /// serves it with maximal prefix reuse, duplicate keys coalesce onto
-    /// a single descent, and the results are permuted back to input
-    /// order. Output is bit-identical to calling
-    /// [`occupancy`](Self::occupancy) per key, in any input order.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use omu_geometry::{Occupancy, Point3, PointCloud, Scan, VoxelKey};
-    /// use omu_octree::OctreeF32;
-    ///
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let mut tree = OctreeF32::new(0.1)?;
-    /// tree.insert_scan(&Scan::new(
-    ///     Point3::ZERO,
-    ///     [Point3::new(1.0, 0.0, 0.0)].into_iter().collect::<PointCloud>(),
-    /// ))?;
-    /// let keys = [tree.converter().coord_to_key(Point3::new(1.0, 0.0, 0.0))?,
-    ///             VoxelKey::new(100, 100, 100)];
-    /// assert_eq!(tree.query_batch(&keys),
-    ///            &[Occupancy::Occupied, Occupancy::Unknown]);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn query_batch(&mut self, keys: &[VoxelKey]) -> &[Occupancy] {
-        let mut scratch = std::mem::take(&mut self.query_scratch);
-        scratch.results.clear();
-        scratch.results.resize(keys.len(), Occupancy::Unknown);
-
-        let counters = serve_chunk(self.view(), keys, &mut scratch.order, &mut scratch.results);
+    /// Runs `read` on a fresh [`reader`](Self::reader) and adds the
+    /// cursor's counters to [`Self::query_counters`] — the counted form
+    /// of a live read, through which the `omu-map` facade serves every
+    /// software batch, ray and sphere query.
+    pub fn with_reader<R>(&mut self, read: impl FnOnce(&mut DescentCursor<'_, V>) -> R) -> R {
+        let mut cursor = self.reader();
+        let out = read(&mut cursor);
+        let counters = cursor.into_counters();
         self.query_counters.merge(&counters);
-        self.query_scratch = scratch;
-        &self.query_scratch.results
-    }
-
-    /// [`query_batch`](Self::query_batch) with the batch chunked across
-    /// up to `shards` tasks on the tree's persistent
-    /// [`WorkerPool`](omu_pool::WorkerPool) (`0` = one per available CPU,
-    /// capped at 8, the same policy as the write-side engines). Each task
-    /// Morton-sorts and serves its chunk through its own cursor —
-    /// `&self` queries touch no shared mutable state, so the read path
-    /// needs no arena changes at all. Results are bit-identical to the
-    /// sequential path; per-task counters merge in chunk order.
-    pub fn query_batch_parallel(&mut self, keys: &[VoxelKey], shards: usize) -> &[Occupancy] {
-        let workers = resolve_apply_shards(shards).min(keys.len().max(1));
-        if workers <= 1 || keys.len() < PARALLEL_QUERY_MIN_KEYS {
-            return self.query_batch(keys);
-        }
-        let mut scratch = std::mem::take(&mut self.query_scratch);
-        scratch.results.clear();
-        scratch.results.resize(keys.len(), Occupancy::Unknown);
-
-        let chunk = keys.len().div_ceil(workers);
-        let pool = self.worker_pool_handle();
-        let view = self.view();
-        let nchunks = keys.len().div_ceil(chunk);
-        let mut slots: Vec<Option<QueryCounters>> = (0..nchunks).map(|_| None).collect();
-        pool.scope(|s| {
-            for (i, ((keys_chunk, out_chunk), slot)) in keys
-                .chunks(chunk)
-                .zip(scratch.results.chunks_mut(chunk))
-                .zip(slots.iter_mut())
-                .enumerate()
-            {
-                s.spawn_on(i, move || {
-                    let mut order = Vec::new();
-                    *slot = Some(serve_chunk(view, keys_chunk, &mut order, out_chunk));
-                });
-            }
-        });
-        let mut merged = QueryCounters::default();
-        for slot in slots {
-            // omu-lint: allow(no-panic) — invariant: `scope` returns only
-            // after every spawned task ran, and each task fills its slot.
-            merged.merge(&slot.expect("query chunk task completed"));
-        }
-        self.query_counters.merge(&merged);
-        self.query_scratch = scratch;
-        &self.query_scratch.results
-    }
-
-    /// [`cast_ray`](Self::cast_ray) through a [`DescentCursor`]:
-    /// consecutive DDA steps re-descend only below the deepest common
-    /// ancestor of adjacent voxels, making the per-step probe amortized
-    /// O(1). The result is bit-identical to the per-probe path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when the origin is outside the map or the
-    /// direction is degenerate.
-    pub fn cast_ray_cached(
-        &mut self,
-        origin: Point3,
-        direction: Point3,
-        max_range: f64,
-        ignore_unknown: bool,
-    ) -> Result<RayCastResult, KeyError> {
-        let (res, counters) = {
-            let mut cursor = self.query_cursor();
-            let res = cursor.cast_ray(origin, direction, max_range, ignore_unknown);
-            (res, cursor.into_counters())
-        };
-        self.query_counters.merge(&counters);
-        res
-    }
-
-    /// Casts a batch of query rays (`(origin, direction)` pairs), each
-    /// through a cached-descent cursor, chunked across up to `shards`
-    /// threads (`0` = one per available CPU, capped at 8;
-    /// `1` = sequential). Results are in input order and bit-identical
-    /// to casting each ray through [`cast_ray`](Self::cast_ray).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`KeyError`] (in input order) when a ray's
-    /// origin is outside the map or its direction is degenerate.
-    pub fn cast_rays(
-        &mut self,
-        rays: &[(Point3, Point3)],
-        max_range: f64,
-        ignore_unknown: bool,
-        shards: usize,
-    ) -> Result<Vec<RayCastResult>, KeyError> {
-        let workers = resolve_apply_shards(shards).min(rays.len().max(1));
-        if workers <= 1 || rays.len() < PARALLEL_CAST_MIN_RAYS {
-            let (res, counters) = {
-                let mut cursor = self.query_cursor();
-                let res = rays
-                    .iter()
-                    .map(|&(o, d)| cursor.cast_ray(o, d, max_range, ignore_unknown))
-                    .collect::<Result<Vec<_>, _>>();
-                (res, cursor.into_counters())
-            };
-            self.query_counters.merge(&counters);
-            return res;
-        }
-
-        let chunk = rays.len().div_ceil(workers);
-        let pool = self.worker_pool_handle();
-        let view = self.view();
-        let nchunks = rays.len().div_ceil(chunk);
-        type CastSlot = Option<(Result<Vec<RayCastResult>, KeyError>, QueryCounters)>;
-        let mut slots: Vec<CastSlot> = (0..nchunks).map(|_| None).collect();
-        pool.scope(|s| {
-            for (i, (rays_chunk, slot)) in rays.chunks(chunk).zip(slots.iter_mut()).enumerate() {
-                s.spawn_on(i, move || {
-                    let mut cursor = DescentCursor::new(view);
-                    let res = rays_chunk
-                        .iter()
-                        .map(|&(o, d)| cursor.cast_ray(o, d, max_range, ignore_unknown))
-                        .collect::<Result<Vec<_>, _>>();
-                    *slot = Some((res, cursor.into_counters()));
-                });
-            }
-        });
-        let mut merged = QueryCounters::default();
-        let mut out = Vec::with_capacity(rays.len());
-        let mut first_err = None;
-        for slot in slots {
-            // omu-lint: allow(no-panic) — invariant: `scope` returns only
-            // after every spawned task ran, and each task fills its slot.
-            let (res, counters) = slot.expect("cast_rays chunk task completed");
-            merged.merge(&counters);
-            match res {
-                Ok(results) if first_err.is_none() => out.extend(results),
-                Ok(_) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        self.query_counters.merge(&merged);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// [`collides_sphere`](Self::collides_sphere) through a cursor: the
-    /// grid sweep inside the ball probes adjacent voxels, so the cursor
-    /// amortizes their shared prefixes. Bit-identical result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when the probe region leaves the map.
-    pub fn collides_sphere_cached(
-        &mut self,
-        center: Point3,
-        radius: f64,
-    ) -> Result<bool, KeyError> {
-        let (res, counters) = {
-            let mut cursor = self.query_cursor();
-            let res = cursor.collides_sphere(center, radius);
-            (res, cursor.into_counters())
-        };
-        self.query_counters.merge(&counters);
-        res
+        out
     }
 }
 
@@ -619,7 +428,7 @@ mod tests {
         for pruning in [true, false] {
             let t = mapped_tree(pruning);
             let keys = random_keys(500, 7);
-            let mut cursor = t.query_cursor();
+            let mut cursor = t.reader();
             for &k in &keys {
                 assert_eq!(cursor.search(k), t.search(k), "pruning={pruning} key={k}");
             }
@@ -632,7 +441,7 @@ mod tests {
     #[test]
     fn cursor_on_empty_tree_is_unknown() {
         let t = OctreeF32::new(0.1).unwrap();
-        let mut cursor = t.query_cursor();
+        let mut cursor = t.reader();
         assert_eq!(cursor.search(VoxelKey::ORIGIN), None);
         assert_eq!(cursor.occupancy(VoxelKey::ORIGIN), Occupancy::Unknown);
         assert_eq!(cursor.counters().node_visits, 0);
@@ -645,25 +454,12 @@ mod tests {
         // Include exact duplicates to exercise coalescing.
         keys.extend_from_slice(&random_keys(50, 11));
         let expected: Vec<Occupancy> = keys.iter().map(|&k| t.occupancy(k)).collect();
-        let got = t.query_batch(&keys).to_vec();
+        let got = t.with_reader(|r| r.query_batch(&keys));
         assert_eq!(got, expected);
         let c = *t.query_counters();
         assert_eq!(c.batch_queries, 350);
         assert!(c.batch_coalesced >= 50, "duplicates must coalesce");
         assert!(c.prefix_reuse_rate() > 0.3, "Morton order reuses prefixes");
-    }
-
-    #[test]
-    fn parallel_query_batch_is_bit_identical() {
-        let mut t = mapped_tree(true);
-        let keys = random_keys(400, 13);
-        let sequential = t.query_batch(&keys).to_vec();
-        for shards in [2, 4, 8] {
-            let parallel = t.query_batch_parallel(&keys, shards).to_vec();
-            assert_eq!(parallel, sequential, "shards={shards}");
-        }
-        // The parallel path still counts every probe.
-        assert!(t.query_counters().batch_queries >= 400 * 4);
     }
 
     #[test]
@@ -675,7 +471,9 @@ mod tests {
             let origin = Point3::new(0.01, 0.01, 0.01);
             for ignore in [true, false] {
                 let scalar = t.cast_ray(origin, dir, 5.0, ignore).unwrap();
-                let cached = t.cast_ray_cached(origin, dir, 5.0, ignore).unwrap();
+                let cached = t
+                    .with_reader(|r| r.cast_ray(origin, dir, 5.0, ignore))
+                    .unwrap();
                 assert_eq!(scalar, cached, "ray {i} ignore={ignore}");
             }
         }
@@ -691,6 +489,8 @@ mod tests {
     #[test]
     fn cast_rays_matches_sequential_and_errors_in_order() {
         let mut t = mapped_tree(true);
+        let snap = t.publish_snapshot();
+        let readers = || [("live", t.reader()), ("snapshot", snap.reader())];
         let rays: Vec<(Point3, Point3)> = (0..24)
             .map(|i| {
                 let a = i as f64 * 0.26;
@@ -704,14 +504,23 @@ mod tests {
             .iter()
             .map(|&(o, d)| t.cast_ray(o, d, 5.0, true).unwrap())
             .collect();
-        for shards in [1, 2, 8] {
-            let batch = t.cast_rays(&rays, 5.0, true, shards).unwrap();
-            assert_eq!(batch, one_by_one, "shards={shards}");
+        for (source, mut reader) in readers() {
+            let batch = reader.cast_rays(&rays, 5.0, true).unwrap();
+            assert_eq!(batch, one_by_one, "{source}");
         }
-        // A degenerate direction errors on every path.
-        let bad = vec![(Point3::ZERO, Point3::ZERO)];
-        assert!(t.cast_rays(&bad, 5.0, true, 1).is_err());
-        assert!(t.cast_rays(&bad, 5.0, true, 4).is_err());
+        // A degenerate direction at index k returns its error after
+        // casting exactly k + 1 rays: no ray after it is cast.
+        let bad = (Point3::new(0.5, 0.5, 0.5), Point3::ZERO);
+        let err = t.cast_ray(bad.0, bad.1, 5.0, true).unwrap_err();
+        for k in [0, 1, 11, rays.len() - 1] {
+            let mut with_bad = rays.clone();
+            with_bad[k] = bad;
+            for (source, mut reader) in readers() {
+                let got = reader.cast_rays(&with_bad, 5.0, true);
+                assert_eq!(got, Err(err), "{source} k={k}");
+                assert_eq!(reader.counters().rays, k as u64 + 1, "{source} k={k}");
+            }
+        }
     }
 
     #[test]
@@ -723,7 +532,9 @@ mod tests {
             (Point3::new(-1.4, 1.4, -0.4), 0.5),
         ] {
             let scalar = t.collides_sphere(center, radius).unwrap();
-            let cached = t.collides_sphere_cached(center, radius).unwrap();
+            let cached = t
+                .with_reader(|r| r.collides_sphere(center, radius))
+                .unwrap();
             assert_eq!(scalar, cached, "sphere at {center} r={radius}");
         }
         assert!(t.query_counters().probes > 0);
@@ -732,7 +543,7 @@ mod tests {
     #[test]
     fn take_query_counters_drains() {
         let mut t = mapped_tree(true);
-        t.query_batch(&random_keys(10, 3));
+        t.with_reader(|r| r.query_batch(&random_keys(10, 3)));
         let c = t.take_query_counters();
         assert_eq!(c.batch_queries, 10);
         assert_eq!(*t.query_counters(), QueryCounters::default());
@@ -741,9 +552,11 @@ mod tests {
     #[test]
     fn empty_batches_are_noops() {
         let mut t = mapped_tree(true);
-        assert!(t.query_batch(&[]).is_empty());
-        assert!(t.query_batch_parallel(&[], 4).is_empty());
-        assert!(t.cast_rays(&[], 5.0, true, 4).unwrap().is_empty());
+        assert!(t.with_reader(|r| r.query_batch(&[])).is_empty());
+        assert!(t
+            .with_reader(|r| r.cast_rays(&[], 5.0, true))
+            .unwrap()
+            .is_empty());
         assert_eq!(t.query_counters().probes, 0);
     }
 }

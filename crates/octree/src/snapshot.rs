@@ -1,7 +1,7 @@
 //! Epoch-pinned snapshots: lock-free concurrent reads under live writes.
 //!
-//! Every engine in the crate is thread-confined: parallel reads borrow
-//! `&self`, parallel writes take `&mut self`. A serving deployment —
+//! Every engine in the crate is thread-confined: reads borrow `&self`,
+//! writes take `&mut self`. A serving deployment —
 //! many clients querying while scans stream in — needs a third shape: a
 //! **snapshot** that pins the map at a publish instant and stays
 //! readable, bit-identically, from any number of threads while the
@@ -63,7 +63,6 @@ use crate::arena::{
 };
 use crate::iter::LeafIter;
 use crate::node::{Node, NIL};
-use crate::query::RayCastResult;
 use crate::query_batch::DescentCursor;
 
 /// `cow_max_pin` value meaning "no snapshot is pinned": every row may be
@@ -721,68 +720,12 @@ impl<V: LogOdds> Snapshot<V> {
     }
 
     /// Borrows the snapshot as a cached-descent [`DescentCursor`] — the
-    /// live tree's [`query_cursor`](crate::OccupancyOctree::query_cursor)
-    /// over the frozen rows, and the read-surface workhorse for coherent
-    /// probe streams (batched queries, ray casts, collision sweeps). Each
-    /// reader thread owns one; readers never synchronize with each other
-    /// or the writer.
+    /// live tree's [`reader`](crate::OccupancyOctree::reader) over the
+    /// frozen rows, and the one way to run batched queries, ray casts and
+    /// collision sweeps on a snapshot. Each reader thread owns one;
+    /// readers never synchronize with each other or the writer.
     pub fn reader(&self) -> DescentCursor<'_, V> {
         DescentCursor::new(self.view())
-    }
-
-    /// Casts one query ray (convenience over [`Self::reader`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when the origin is outside the map or the
-    /// direction is degenerate.
-    pub fn cast_ray(
-        &self,
-        origin: Point3,
-        direction: Point3,
-        max_range: f64,
-        ignore_unknown: bool,
-    ) -> Result<RayCastResult, KeyError> {
-        self.reader()
-            .cast_ray(origin, direction, max_range, ignore_unknown)
-    }
-
-    /// Casts a batch of query rays through one cached-descent reader,
-    /// returning results in input order — the contract of
-    /// [`OccupancyOctree::cast_rays`](crate::OccupancyOctree::cast_rays).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`KeyError`] in input order (a ray whose origin
-    /// is outside the map or whose direction is degenerate); no ray after
-    /// it is cast.
-    pub fn cast_rays(
-        &self,
-        rays: &[(Point3, Point3)],
-        max_range: f64,
-        ignore_unknown: bool,
-    ) -> Result<Vec<RayCastResult>, KeyError> {
-        let mut reader = self.reader();
-        rays.iter()
-            .map(|&(origin, dir)| reader.cast_ray(origin, dir, max_range, ignore_unknown))
-            .collect()
-    }
-
-    /// True when any occupied voxel intersects the sphere (convenience
-    /// over [`Self::reader`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] when the probe region leaves the map.
-    pub fn collides_sphere(&self, center: Point3, radius: f64) -> Result<bool, KeyError> {
-        self.reader().collides_sphere(center, radius)
-    }
-
-    /// Classifies a key batch (convenience over [`Self::reader`]).
-    pub fn query_batch(&self, keys: &[VoxelKey]) -> Vec<Occupancy> {
-        let mut results = Vec::new();
-        self.reader().query_batch(keys, &mut results);
-        results
     }
 
     /// Iterates over all leaves of the pinned map.
@@ -929,8 +872,7 @@ mod tests {
             .map(|i| VoxelKey::new(32700 + i % 70, 32740 + (i * 3) % 60, 32760 + i % 9))
             .collect();
         let mut reader = snap.reader();
-        let mut got = Vec::new();
-        reader.query_batch(&keys, &mut got);
+        let got = reader.query_batch(&keys);
         for (i, &key) in keys.iter().enumerate() {
             assert_eq!(got[i], reference.occupancy(key), "key {key:?}");
             assert_eq!(snap.search(key), reference.search(key));
@@ -942,13 +884,13 @@ mod tests {
             let a = i as f64 * 0.26;
             let dir = Point3::new(a.cos(), a.sin(), 0.1);
             let live = reference.cast_ray(origin, dir, 8.0, false).unwrap();
-            let pinned = snap.cast_ray(origin, dir, 8.0, false).unwrap();
+            let pinned = reader.cast_ray(origin, dir, 8.0, false).unwrap();
             assert_eq!(live, pinned, "ray {i}");
         }
         for i in 0..12 {
             let c = Point3::new(1.8 + 0.05 * i as f64, 0.2, 0.0);
             assert_eq!(
-                snap.collides_sphere(c, 0.4).unwrap(),
+                reader.collides_sphere(c, 0.4).unwrap(),
                 reference.collides_sphere(c, 0.4).unwrap()
             );
         }
@@ -1053,7 +995,8 @@ mod tests {
         assert_eq!(snap.canonical_leaves(), Vec::new());
         assert_eq!(snap.occupancy(VoxelKey::ORIGIN), Occupancy::Unknown);
         assert_eq!(
-            snap.cast_ray(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 2.0, false)
+            snap.reader()
+                .cast_ray(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 2.0, false)
                 .unwrap(),
             t.cast_ray(Point3::ZERO, Point3::new(1.0, 0.0, 0.0), 2.0, false)
                 .unwrap()

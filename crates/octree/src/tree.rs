@@ -14,7 +14,6 @@ use crate::arena::{handle, Arena, NodeStore};
 use crate::batch::BatchScratch;
 use crate::counters::{OpCounters, QueryCounters};
 use crate::node::{Node, NIL};
-use crate::query_batch::QueryScratch;
 use crate::snapshot::{Snapshot, SnapshotStats, TreeView};
 use crate::walk::WalkCtx;
 
@@ -39,7 +38,6 @@ pub struct OccupancyOctree<V: LogOdds> {
     pub(crate) scratch_integrator: Option<ScanIntegrator>,
     pub(crate) batch_scratch: BatchScratch,
     pub(crate) query_counters: QueryCounters,
-    pub(crate) query_scratch: QueryScratch,
     // Fx instead of SipHash: change tracking inserts a structured key per
     // classification flip on the hottest path; see `rustc_hash`.
     pub(crate) changed: Option<FxHashSet<VoxelKey>>,
@@ -97,19 +95,16 @@ impl<V: LogOdds> OccupancyOctree<V> {
             scratch_integrator: None,
             batch_scratch: BatchScratch::default(),
             query_counters: QueryCounters::default(),
-            query_scratch: QueryScratch::default(),
             changed: None,
             worker_pool: None,
             debug_panic_branch: None,
         })
     }
 
-    /// Installs a shared [`WorkerPool`] for every parallel path on this
-    /// tree (the sharded walk behind batch applies and scan inserts,
-    /// chunked batch queries and ray casts). Without this, the tree
-    /// creates its own pool on the first parallel call. The map facade
-    /// uses it so read and write paths — and both backends of a mixed
-    /// deployment — reuse one set of warmed workers.
+    /// Installs a shared [`WorkerPool`] for the tree's one parallel path,
+    /// the sharded walk behind batch applies and scan inserts. Without
+    /// this, the tree creates its own pool on the first parallel call.
+    /// The map facade installs one to size the pool up front.
     pub fn set_worker_pool(&mut self, pool: Arc<WorkerPool>) {
         self.worker_pool = Some(pool);
     }
@@ -189,16 +184,11 @@ impl<V: LogOdds> OccupancyOctree<V> {
         self.counters.reset();
     }
 
-    /// Cumulative read-side counters, fed by the cached-descent cursor
-    /// and the batched query engine (see the `query_batch` module; the
+    /// Cumulative read-side counters, fed by every cursor read run
+    /// through [`Self::with_reader`] (see the `query_batch` module; the
     /// scalar [`Self::search`] path is uncounted, like OctoMap's).
     pub fn query_counters(&self) -> &QueryCounters {
         &self.query_counters
-    }
-
-    /// Resets the query counters to zero.
-    pub fn reset_query_counters(&mut self) {
-        self.query_counters.reset();
     }
 
     /// Removes and returns the accumulated query counters (the drain

@@ -168,11 +168,14 @@ fn recovery_matches_serial_replay_under_seeded_faults() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFA_17);
         let stream = scans(seed, rng.random_range(6..14));
         let plan = FaultPlan::seeded(seed, 24);
-        let service = MapService::spawn(
-            MapBuilder::new(RES)
-                .durability(&dir, DurabilityPolicy::EveryNEpochs(rng.random_range(2..4)))
-                .fault_plan(plan),
-        )
+        let store: Arc<dyn DurableDir> = Arc::new(FaultyDir::new(
+            Arc::new(RealDir::create(&dir).unwrap()),
+            plan,
+        ));
+        let service = MapService::spawn(MapBuilder::new(RES).durability_store(
+            store,
+            DurabilityPolicy::EveryNEpochs(rng.random_range(2..4)),
+        ))
         .unwrap();
         for (origin, points) in &stream {
             // The injected fault may have killed the writer; ingest and

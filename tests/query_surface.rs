@@ -250,7 +250,7 @@ proptest! {
         let maps = vec![
             // Software, sequential batched reads.
             MapBuilder::new(RES).pruning(pruning).build().unwrap(),
-            // Software, sharded parallel read path.
+            // Software, built by the 4-shard write walk.
             MapBuilder::new(RES)
                 .pruning(pruning)
                 .engine(Engine::Sharded { shards: 4 })

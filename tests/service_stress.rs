@@ -187,7 +187,7 @@ fn concurrent_readers_see_pinned_epochs_under_live_writes() {
     for next in &batches[1..] {
         let snap = tree.publish_snapshot();
         let expected_leaves = snap.canonical_leaves();
-        let expected_occ: Vec<Occupancy> = snap.query_batch(&probes);
+        let expected_occ: Vec<Occupancy> = snap.reader().query_batch(&probes);
         let results = Mutex::new(Vec::new());
         pool.scope(|s| {
             for _ in 0..READERS {
@@ -195,7 +195,7 @@ fn concurrent_readers_see_pinned_epochs_under_live_writes() {
                 let probes = &probes;
                 let results = &results;
                 s.spawn(move || {
-                    let occ = snap.query_batch(probes);
+                    let occ = snap.reader().query_batch(probes);
                     results.lock().unwrap().push(occ);
                 });
             }

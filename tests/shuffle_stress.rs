@@ -89,6 +89,8 @@ fn batched_writes_stay_bit_identical_under_shuffle() {
     }
 }
 
+/// Reads run on the caller's thread; the shuffle reaches them through
+/// the map the sharded writes built under it.
 #[test]
 fn parallel_queries_and_ray_casts_agree_under_shuffle() {
     let scans = random_scans(0xACE, 3, 3000);

@@ -156,34 +156,6 @@ fn parallel_engine_paths_reuse_one_pool_with_zero_per_call_spawns() {
 }
 
 #[test]
-fn read_paths_share_the_trees_pool() {
-    let mut tree = OctreeF32::new(0.1).unwrap();
-    tree.apply_update_batch(&big_batch(7));
-
-    let keys: Vec<VoxelKey> = big_batch(8).into_iter().map(|u| u.key).collect();
-    tree.query_batch_parallel(&keys, 8);
-    let warm = tree.pool_stats().expect("parallel query created the pool");
-
-    let rays: Vec<(Point3, Point3)> = (0..64)
-        .map(|i| {
-            let a = i as f64 * 0.1;
-            (
-                Point3::new(0.0, 0.0, 0.0),
-                Point3::new(a.cos(), a.sin(), 0.1),
-            )
-        })
-        .collect();
-    for _ in 0..5 {
-        tree.query_batch_parallel(&keys, 8);
-        tree.cast_rays(&rays, 10.0, true, 8).unwrap();
-    }
-
-    let after = tree.pool_stats().unwrap();
-    assert_eq!(after.threads_spawned, warm.threads_spawned);
-    assert!(after.scopes > warm.scopes, "reads must go through the pool");
-}
-
-#[test]
 fn builder_worker_threads_knob_sizes_the_pool() {
     let map = MapBuilder::new(0.1).worker_threads(3).build().unwrap();
     // The pool exists up front (the builder installed it), but workers
