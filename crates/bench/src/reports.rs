@@ -3,7 +3,8 @@
 //!
 //! Each printer emits the paper's published row next to the measured
 //! (extrapolated) row so the reproduction quality is visible at a glance;
-//! EXPERIMENTS.md archives the output.
+//! the README section "Reproducing the paper" says which constants behind
+//! them are calibrated.
 
 use omu_cpumodel::RuntimeBreakdown;
 use omu_datasets::DatasetKind;

@@ -395,25 +395,6 @@ impl OmuAccelerator {
         Ok(self.query_key(key))
     }
 
-    /// Multi-resolution query: classifies the node at `max_depth` covering
-    /// `key`. Because inner nodes hold the max over their children
-    /// (eq. 3), a coarse query answers "is anything occupied in this
-    /// region?" in proportionally fewer cycles — the planner-facing fast
-    /// path of the voxel query unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_depth` is 0 or exceeds
-    /// [`TREE_DEPTH`](omu_geometry::TREE_DEPTH).
-    pub fn query_key_at_depth(&mut self, key: VoxelKey, max_depth: u8) -> Occupancy {
-        let pe = self.scheduler.pe_for(key);
-        let (occ, cycles) = self.pes[pe].query_at_depth(key, max_depth);
-        self.query_stats.record(cycles);
-        self.stats.queries = self.query_stats.queries;
-        self.stats.query_cycles = self.query_stats.cycles;
-        occ
-    }
-
     /// Reads the stored log-odds covering `key` without touching any
     /// hardware counter (map export / debugging aid, like
     /// [`Self::snapshot`] but for one voxel). Returns `None` for
@@ -444,21 +425,6 @@ impl OmuAccelerator {
     /// snapshot.
     pub fn num_leaves(&self) -> usize {
         self.pes.iter().map(PeUnit::num_leaves).sum()
-    }
-
-    /// Multi-resolution query by point and region edge length: picks the
-    /// deepest tree level whose nodes are at least `region_m` across.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::Key`] for out-of-map points.
-    pub fn query_region(&mut self, point: Point3, region_m: f64) -> Result<Occupancy, AccelError> {
-        let key = self.conv.coord_to_key(point)?;
-        let mut depth = omu_geometry::TREE_DEPTH;
-        while depth > 1 && self.conv.node_size(depth) < region_m {
-            depth -= 1;
-        }
-        Ok(self.query_key_at_depth(key, depth))
     }
 
     /// Invalidates the query unit's per-PE cached-descent registers.
@@ -651,38 +617,6 @@ impl OmuAccelerator {
         self.query_stats
     }
 
-    /// Publishes a serving snapshot: broadcasts an epoch pin to every
-    /// PE's T-Mem and returns the pinned epoch. This is the hardware
-    /// mirror of the software tree's `publish_snapshot` — until
-    /// [`Self::release_snapshot`], the first write to any row stamped at
-    /// or before the pinned epoch streams the row through the copy
-    /// engine (priced SRAM traffic plus
-    /// [`COW_COPY_CYCLES`](crate::treemem::COW_COPY_CYCLES) folded into
-    /// that update's service time). The broadcast itself costs one cycle
-    /// per PE plus a root latch on the wall clock.
-    pub fn publish_snapshot(&mut self) -> u32 {
-        let mut epoch = 0;
-        for pe in &mut self.pes {
-            epoch = pe.publish_epoch();
-        }
-        self.stats.snapshot_publishes += 1;
-        self.stats.wall_cycles += self.pes.len() as u64 + 1;
-        epoch
-    }
-
-    /// Releases every serving pin: writes land in place again and row
-    /// copies stop being charged.
-    pub fn release_snapshot(&mut self) {
-        for pe in &mut self.pes {
-            pe.release_pins();
-        }
-    }
-
-    /// Whether a published snapshot is currently pinned (serving mode).
-    pub fn serving(&self) -> bool {
-        self.pes.iter().any(PeUnit::serving)
-    }
-
     /// Device statistics, with per-PE counters sampled live. The wall
     /// clock includes draining all in-flight PE work.
     pub fn stats(&self) -> AccelStats {
@@ -831,59 +765,6 @@ mod tests {
         assert!(s.voxel_updates > 10);
         assert!(s.wall_cycles > 0);
         assert!(s.queries == 3);
-    }
-
-    #[test]
-    fn serving_mode_prices_snapshot_publication_and_row_cow() {
-        let pts: Vec<Point3> = (0..48)
-            .map(|i| {
-                let a = i as f64 * 0.13;
-                Point3::new(3.0 * a.cos(), 3.0 * a.sin(), 0.4)
-            })
-            .collect();
-        let s = Scan::new(
-            Point3::new(0.01, 0.01, 0.21),
-            pts.into_iter().collect::<PointCloud>(),
-        );
-
-        // Baseline: the same two scans with no snapshot pinned.
-        let mut plain = accel();
-        plain.integrate_scan(&s).unwrap();
-        plain.integrate_scan(&s).unwrap();
-        let base = plain.stats();
-        assert_eq!(base.snapshot_publishes, 0);
-        assert_eq!(base.cow_rows_copied(), 0);
-        assert_eq!(base.cow_cycles(), 0);
-
-        // Serving: publish between the scans, so the second scan's first
-        // write to each pinned row streams it through the copy engine.
-        let mut serving = accel();
-        serving.integrate_scan(&s).unwrap();
-        let epoch = serving.publish_snapshot();
-        assert!(epoch >= 1);
-        assert!(serving.serving());
-        serving.integrate_scan(&s).unwrap();
-        let st = serving.stats();
-        assert_eq!(st.snapshot_publishes, 1);
-        assert!(st.cow_rows_copied() > 0, "revisited rows must copy out");
-        assert_eq!(
-            st.cow_cycles(),
-            st.cow_rows_copied() * crate::treemem::COW_COPY_CYCLES
-        );
-        // The copy traffic is priced: more SRAM accesses, more busy
-        // cycles, more energy than the unpinned run — and the map itself
-        // is unchanged by serving.
-        assert!(st.sram_total().accesses() > base.sram_total().accesses());
-        assert!(st.pe_busy_total() > base.pe_busy_total());
-        assert!(serving.energy_joules() > plain.energy_joules());
-        assert_eq!(serving.snapshot(), plain.snapshot());
-
-        // Releasing the pin stops the charging.
-        serving.release_snapshot();
-        assert!(!serving.serving());
-        let before = serving.stats().cow_rows_copied();
-        serving.integrate_scan(&s).unwrap();
-        assert_eq!(serving.stats().cow_rows_copied(), before);
     }
 
     #[test]
@@ -1075,39 +956,6 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(e, AccelError::Key(_)));
-    }
-
-    #[test]
-    fn region_query_uses_coarse_levels() {
-        let mut omu = accel();
-        omu.integrate_scan(&scan(&[Point3::new(3.0, 1.0, 0.5)]))
-            .unwrap();
-        // Fine query on the endpoint voxel.
-        assert_eq!(
-            omu.query_point(Point3::new(3.0, 1.0, 0.5)).unwrap(),
-            Occupancy::Occupied
-        );
-        // A 2 m region around the endpoint is occupied (max policy).
-        assert_eq!(
-            omu.query_region(Point3::new(3.0, 1.0, 0.5), 2.0).unwrap(),
-            Occupancy::Occupied
-        );
-        // Coarse queries cost fewer cycles than fine ones on average.
-        let before = omu.stats().query_cycles;
-        omu.query_key_at_depth(
-            omu.converter()
-                .coord_to_key(Point3::new(3.0, 1.0, 0.5))
-                .unwrap(),
-            4,
-        );
-        let coarse_cost = omu.stats().query_cycles - before;
-        let before = omu.stats().query_cycles;
-        omu.query_point(Point3::new(3.0, 1.0, 0.5)).unwrap();
-        let fine_cost = omu.stats().query_cycles - before;
-        assert!(
-            coarse_cost <= fine_cost,
-            "coarse {coarse_cost} vs fine {fine_cost}"
-        );
     }
 
     #[test]

@@ -17,13 +17,6 @@ use crate::error::ConfigError;
 pub struct PeTiming {
     /// Cycles per level descended (address generation + bank read).
     pub traverse_per_level: u64,
-    /// Cycles per descended level whose bank read hits the open T-Mem
-    /// row (see [`TreeMem`](crate::TreeMem)'s row-buffer model): the
-    /// sibling row is already latched, so only the octant mux is paid.
-    /// The default equals [`Self::traverse_per_level`], which keeps the
-    /// paper's calibrated cycle counts; lower it to model a row-aware
-    /// descent datapath (`ablation_*` experiments).
-    pub traverse_row_hit: u64,
     /// Cycles for the leaf read-modify-write.
     pub leaf_update: u64,
     /// Cycles per level on the way up: parallel row read + max + write.
@@ -47,7 +40,6 @@ impl Default for PeTiming {
     fn default() -> Self {
         PeTiming {
             traverse_per_level: 2,
-            traverse_row_hit: 2,
             leaf_update: 2,
             parent_per_level: 3,
             prune_check_per_level: 1,

@@ -87,4 +87,4 @@ pub use raycast_unit::RayCastUnit;
 pub use report::{area_model, floorplan_ascii};
 pub use scheduler::VoxelScheduler;
 pub use stats::{AccelStats, PeStageCycles, PeStats};
-pub use treemem::{RowBufferStats, TreeMem, COW_COPY_CYCLES};
+pub use treemem::TreeMem;

@@ -179,23 +179,10 @@ impl PeUnit {
         let mut path_locs = [(0u32, 0usize); LEVELS + 1];
         let mut path_entries = [NodeEntry::EMPTY; LEVELS + 1];
 
-        // PE root (depth 1) lives at row 0, bank = branch. Descent reads
-        // that hit a bank's open T-Mem row are charged at the (by default
-        // equal) row-hit rate — Morton-ordered runs keep descending the
-        // same sibling rows, which the row-buffer stats make visible.
-        let mut traverse_cycles = 0u64;
-        let mut charge_read = |mem: &mut TreeMem, row: u32, bank: usize| {
-            let (entry, hit) = mem.read_entry_hit(row, bank);
-            traverse_cycles += if hit {
-                t.traverse_row_hit
-            } else {
-                t.traverse_per_level
-            };
-            entry
-        };
+        // PE root (depth 1) lives at row 0, bank = branch.
         let mut just_created = false;
         path_locs[0] = (0, branch);
-        path_entries[0] = charge_read(&mut self.mem, 0, branch);
+        path_entries[0] = self.mem.read_entry(0, branch);
         if !self.root_live[branch] {
             path_entries[0] = NodeEntry::EMPTY;
             self.root_live[branch] = true;
@@ -254,10 +241,11 @@ impl PeUnit {
             // Step into the child.
             let child_row = path_entries[step].ptr;
             debug_assert_ne!(child_row, NULL_PTR, "descending through a leaf");
-            let child = charge_read(&mut self.mem, child_row, pos);
             path_locs[step + 1] = (child_row, pos);
-            path_entries[step + 1] = child;
+            path_entries[step + 1] = self.mem.read_entry(child_row, pos);
         }
+        // One dependent read per level: the PE root plus 15 below it.
+        let traverse_cycles = t.traverse_per_level * (LEVELS as u64 + 1);
         cycles += traverse_cycles;
         self.stats.stage_cycles.traverse += traverse_cycles;
 
@@ -332,13 +320,6 @@ impl PeUnit {
             path_entries[step] = node;
         }
 
-        // Serving mode: row copies triggered by this update's writes are
-        // part of its service time, so COW overhead flows through the
-        // scheduler's busy/stall/drain accounting like any other stage.
-        let cow = self.mem.take_cow_cycles();
-        cycles += cow;
-        self.stats.cow_cycles += cow;
-
         self.stats.updates += 1;
         self.stats.busy_cycles += cycles;
         Ok(PeUpdateOutcome {
@@ -350,24 +331,6 @@ impl PeUnit {
     /// Queries the occupancy of a voxel, returning the classification and
     /// the query latency in cycles.
     pub fn query(&mut self, key: VoxelKey) -> (Occupancy, u64) {
-        self.query_at_depth(key, TREE_DEPTH)
-    }
-
-    /// Multi-resolution query (one of the paper's motivations for eagerly
-    /// maintaining parent occupancies, Section III-A): descends at most to
-    /// `max_depth` and classifies the node found there. Inner-node values
-    /// hold the max over their subtree, so a coarse query answers "is
-    /// anything in this region occupied?" in fewer cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_depth` is 0 or exceeds
-    /// [`TREE_DEPTH`](omu_geometry::TREE_DEPTH).
-    pub fn query_at_depth(&mut self, key: VoxelKey, max_depth: u8) -> (Occupancy, u64) {
-        assert!(
-            (1..=TREE_DEPTH).contains(&max_depth),
-            "query depth must be 1..=16, got {max_depth}"
-        );
         let t = self.timing;
         let branch = key.first_level_branch().index();
         let mut cycles = t.query_overhead;
@@ -376,7 +339,7 @@ impl PeUnit {
         }
         let mut entry = self.mem.read_entry(0, branch);
         cycles += t.query_per_level;
-        for depth in 1..max_depth {
+        for depth in 1..TREE_DEPTH {
             if entry.is_leaf() {
                 return (self.classify(entry.prob), cycles);
             }
@@ -633,28 +596,10 @@ impl PeUnit {
         }
     }
 
-    /// Pins the current T-Mem epoch for serving and opens the next one
-    /// (snapshot publish), returning the pinned epoch.
-    pub fn publish_epoch(&mut self) -> u32 {
-        self.mem.publish_epoch()
-    }
-
-    /// Drops all serving pins; writes land in place again.
-    pub fn release_pins(&mut self) {
-        self.mem.release_pins()
-    }
-
-    /// Whether this PE's T-Mem is serving a pinned snapshot.
-    pub fn serving(&self) -> bool {
-        self.mem.serving()
-    }
-
     /// This PE's statistics (SRAM and allocator counters sampled live).
     pub fn stats(&self) -> PeStats {
         let mut s = self.stats;
         s.sram = self.mem.stats();
-        s.cow_rows = self.mem.cow_rows_copied();
-        s.tmem_rows = self.mem.row_stats();
         s.prune_mgr = self.mgr.stats();
         s.live_rows = self.mgr.live_rows();
         s.high_water_rows = self.mgr.high_water_live();
@@ -835,35 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn coarse_query_sees_occupied_subtree() {
-        let mut pe = pe();
-        let k = key_in_branch(1, (500, 600, 700));
-        for _ in 0..5 {
-            pe.update_voxel(k, true).unwrap();
-        }
-        // At every coarser depth the max-policy parent reports occupied.
-        let mut last_cycles = u64::MAX;
-        for depth in [16u8, 12, 8, 4, 1] {
-            let (occ, cycles) = pe.query_at_depth(k, depth);
-            assert_eq!(occ, Occupancy::Occupied, "depth {depth}");
-            assert!(cycles <= last_cycles, "coarser queries are never slower");
-            last_cycles = cycles;
-        }
-        // A sibling region at fine depth is unknown, but the coarse region
-        // containing both is occupied.
-        let sibling = key_in_branch(1, (500, 600, 701));
-        assert_eq!(pe.query_at_depth(sibling, 16).0, Occupancy::Unknown);
-        assert_eq!(pe.query_at_depth(sibling, 15).0, Occupancy::Occupied);
-    }
-
-    #[test]
-    #[should_panic(expected = "query depth")]
-    fn zero_depth_query_rejected() {
-        let mut pe = pe();
-        let _ = pe.query_at_depth(VoxelKey::ORIGIN, 0);
-    }
-
-    #[test]
     fn cached_query_matches_plain_query_everywhere() {
         let mut pe = pe();
         // A small structured map: a run of voxels plus a pruned octant.
@@ -928,72 +844,6 @@ mod tests {
         // Reset forgets the path: the next query replays nothing.
         c25.reset();
         assert_eq!(pe.query_cached(a, &mut c25, 25).reused_levels, 0);
-    }
-
-    #[test]
-    fn row_buffer_hits_are_measured_and_default_priced_neutrally() {
-        let mut pe = pe();
-        // A Morton-adjacent run keeps descending the same sibling rows.
-        for i in 0..8u16 {
-            let k = key_in_branch(0, (2 + (i & 1), 4 + ((i >> 1) & 1), 6 + ((i >> 2) & 1)));
-            pe.update_voxel(k, true).unwrap();
-        }
-        let s = pe.stats();
-        assert!(
-            s.tmem_rows.hits > 0,
-            "adjacent updates must hit open T-Mem rows"
-        );
-        assert!(s.tmem_rows.hit_rate() > 0.0);
-
-        // With the default timing, row hits are priced like misses: the
-        // per-update service time equals the flat model's.
-        let mut flat = PeUnit::new(
-            0,
-            4096,
-            512,
-            OccupancyParams::default().resolve::<FixedLogOdds>(),
-            PeTiming::default(),
-            true,
-        );
-        let k = key_in_branch(0, (2, 4, 6));
-        let a = pe.update_voxel(k, true).unwrap();
-        let b = {
-            for i in 0..8u16 {
-                let k = key_in_branch(0, (2 + (i & 1), 4 + ((i >> 1) & 1), 6 + ((i >> 2) & 1)));
-                flat.update_voxel(k, true).unwrap();
-            }
-            flat.update_voxel(k, true).unwrap()
-        };
-        assert_eq!(a.service_cycles, b.service_cycles);
-    }
-
-    #[test]
-    fn discounted_row_hits_shrink_descent_cycles() {
-        let run = |timing: PeTiming| {
-            let mut pe = PeUnit::new(
-                0,
-                4096,
-                512,
-                OccupancyParams::default().resolve::<FixedLogOdds>(),
-                timing,
-                true,
-            );
-            let mut total = 0u64;
-            for i in 0..16u16 {
-                let k = key_in_branch(0, (100 + (i & 3), 200, 300));
-                total += pe.update_voxel(k, true).unwrap().service_cycles;
-            }
-            total
-        };
-        let flat = run(PeTiming::default());
-        let discounted = run(PeTiming {
-            traverse_row_hit: 1,
-            ..PeTiming::default()
-        });
-        assert!(
-            discounted < flat,
-            "row-hit pricing must cut descent cycles: {discounted} vs {flat}"
-        );
     }
 
     #[test]

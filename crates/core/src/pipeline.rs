@@ -46,15 +46,6 @@ pub struct AccelRunSummary {
     /// Voxel query unit counters (queries served, cycles, cached-descent
     /// reuse) — zero when the run never queried the map.
     pub query: QueryUnitStats,
-    /// Serving snapshots published (epoch broadcasts) — zero when the
-    /// run never served concurrent readers.
-    pub snapshot_publishes: u64,
-    /// Rows streamed out by the serving-mode row-COW engine while a
-    /// snapshot was pinned.
-    pub cow_rows_copied: u64,
-    /// Copy-engine cycles (already folded into PE service times and
-    /// therefore the latency/energy figures above).
-    pub cow_cycles: u64,
 }
 
 /// Which voxel-update path a mapping run drives.
@@ -166,16 +157,13 @@ pub fn summarize(omu: &OmuAccelerator) -> AccelRunSummary {
         load_imbalance: stats.load_imbalance(),
         stall_cycles: stats.stall_cycles,
         query: omu.query_unit_stats(),
-        snapshot_publishes: stats.snapshot_publishes,
-        cow_rows_copied: stats.cow_rows_copied(),
-        cow_cycles: stats.cow_cycles(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omu_geometry::{Point3, PointCloud};
+    use omu_geometry::{Point3, PointCloud, VoxelKey};
 
     fn ring_scans(n: usize) -> Vec<Scan> {
         (0..n)
@@ -245,27 +233,98 @@ mod tests {
         assert!(s2.latency_s < s1.latency_s);
     }
 
+    /// A fixed workload's priced numbers, per engine. The rays fan out over
+    /// eight heights, so the voxels around the origin saturate, prune and
+    /// re-expand on the next scan: every datapath stage is priced.
     #[test]
-    fn summary_reflects_serving_mode() {
-        let scans = ring_scans(4);
-        let mut omu = OmuAccelerator::new(OmuConfig::default()).unwrap();
-        omu.integrate_scan_with(&scans[0], UpdateEngine::MortonBatched)
-            .unwrap();
-        omu.publish_snapshot();
-        for s in &scans[1..] {
-            omu.integrate_scan_with(s, UpdateEngine::MortonBatched)
-                .unwrap();
-        }
-        let s = summarize(&omu);
-        assert_eq!(s.snapshot_publishes, 1);
-        assert!(s.cow_rows_copied > 0);
-        assert_eq!(
-            s.cow_cycles,
-            s.cow_rows_copied * crate::treemem::COW_COPY_CYCLES
+    fn priced_numbers_are_pinned() {
+        // [wall, stall, raycast, query, PE busy, SRAM reads, SRAM writes,
+        // then stage cycles: traverse, leaf, create, parent, prune_check,
+        // prune_action, expand], and `to_bits` of [latency_s, energy_j,
+        // breakdown_shares].
+        const SCALAR: ([u64; 14], [u64; 5]) = (
+            [
+                151717, 151706906, 2898, 8377, 895445, 1274708, 177297, 299840, 18740, 9182,
+                421650, 140550, 2204, 3279,
+            ],
+            [
+                4549729393358092448,
+                4539917701769601164,
+                4600265475804381174,
+                4602154297392818481,
+                4595043750586723761,
+            ],
         );
-        // Serving never perturbs the map, only the pricing.
-        assert!(s.latency_s > 0.0);
-        assert!(s.energy_j > 0.0);
+        const BATCHED: ([u64; 14], [u64; 5]) = (
+            [
+                115754, 107634622, 2898, 8377, 895170, 1274708, 176802, 299840, 18740, 9182,
+                421650, 140550, 2094, 3114,
+            ],
+            [
+                4548169562043492670,
+                4539898966356118794,
+                4600267501464723657,
+                4602156903307120347,
+                4595034487437435063,
+            ],
+        );
+        let origin = Point3::new(0.01, 0.01, 0.21);
+        let scans: Vec<Scan> = (0..6)
+            .map(|i| {
+                let points = (0..64).map(|j| {
+                    let a = i as f64 * 0.05 + j as f64 * 0.098;
+                    let z = ((j % 8) as f64 - 4.0) * 0.4;
+                    Point3::new(3.0 * a.cos(), 3.0 * a.sin(), z)
+                });
+                Scan::new(origin, points.collect::<PointCloud>())
+            })
+            .collect();
+        // 48 keys near the origin, then the first 12 again.
+        let keys: Vec<VoxelKey> = (0..60u16)
+            .map(|i| VoxelKey::new(32768 + i % 24, 32760 + i % 48 / 3, 32769))
+            .collect();
+        let rays: Vec<(Point3, Point3)> = (0..8)
+            .map(|i| {
+                let a = i as f64 * 0.79;
+                (origin, Point3::new(a.cos(), a.sin(), 0.1))
+            })
+            .collect();
+        for (engine, pinned) in [
+            (UpdateEngine::Scalar, SCALAR),
+            (UpdateEngine::MortonBatched, BATCHED),
+            (UpdateEngine::ShardedParallel, BATCHED),
+        ] {
+            let config = OmuConfig::default();
+            let (mut omu, _) =
+                run_accelerator_with_engine(config, scans.clone().into_iter(), engine).unwrap();
+            omu.query_batch(&keys);
+            omu.cast_rays(&rays, 4.0, true).unwrap();
+            omu.collides_sphere(Point3::new(3.0, 0.0, 0.0), 0.5)
+                .unwrap();
+            let (st, s) = (omu.stats(), summarize(&omu));
+            let (sram, c) = (st.sram_total(), st.stage_cycles());
+            let [leaf, parents, prune] = s.breakdown_shares;
+            let counts = [
+                st.wall_cycles,
+                st.stall_cycles,
+                st.raycast_cycles,
+                st.query_cycles,
+                st.pe_busy_total(),
+                sram.reads,
+                sram.writes,
+                c.traverse,
+                c.leaf,
+                c.create,
+                c.parent,
+                c.prune_check,
+                c.prune_action,
+                c.expand,
+            ];
+            let priced = [s.latency_s, s.energy_j, leaf, parents, prune].map(f64::to_bits);
+            assert_eq!((counts, priced), pinned, "{engine:?}");
+            let creates: u64 = st.per_pe.iter().map(|p| p.creates).sum();
+            assert!(creates > 0 && st.prunes() > 0 && st.expands() > 0);
+        }
     }
 
     #[test]

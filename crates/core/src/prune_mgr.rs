@@ -108,16 +108,6 @@ impl PruneAddrManager {
     pub fn stats(&self) -> PruneMgrStats {
         self.stats
     }
-
-    /// Current occupancy of the pointer stack.
-    pub fn stack_len(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// Peak occupancy of the pointer stack.
-    pub fn stack_high_water(&self) -> usize {
-        self.stack.high_water()
-    }
 }
 
 #[cfg(test)]

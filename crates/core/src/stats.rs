@@ -5,7 +5,6 @@ use omu_simhw::SramStats;
 use serde::{Deserialize, Serialize};
 
 use crate::prune_mgr::PruneMgrStats;
-use crate::treemem::RowBufferStats;
 
 /// Cycles spent in each PE datapath stage.
 ///
@@ -84,23 +83,12 @@ pub struct PeStats {
     pub expands: u64,
     /// Node prunes.
     pub prunes: u64,
-    /// Per-stage cycle breakdown. Excludes serving-mode row-copy cycles
-    /// (`cow_cycles`), which are an overhead on top of the paper's
-    /// Fig. 10 datapath stages rather than one of them.
+    /// Per-stage cycle breakdown.
     pub stage_cycles: PeStageCycles,
-    /// Total busy cycles (sum of per-update service times, including
-    /// serving-mode row-copy cycles).
+    /// Total busy cycles (sum of per-update service times).
     pub busy_cycles: u64,
-    /// Rows streamed out by the serving-mode row-COW engine.
-    pub cow_rows: u64,
-    /// Copy-engine cycles (already included in `busy_cycles`).
-    pub cow_cycles: u64,
     /// SRAM access counters of the PE's T-Mem.
     pub sram: SramStats,
-    /// Open-row (row-buffer) hit/miss counters of the PE's T-Mem — the
-    /// hardware analogue of the software arena's sibling-row cache-line
-    /// locality under Morton-ordered update streams.
-    pub tmem_rows: RowBufferStats,
     /// Prune address manager statistics.
     pub prune_mgr: PruneMgrStats,
     /// Live children rows at sample time.
@@ -146,23 +134,11 @@ pub struct AccelStats {
     pub queries: u64,
     /// Voxel query unit cycles.
     pub query_cycles: u64,
-    /// Serving-mode snapshots published (epoch broadcasts to the PEs).
-    pub snapshot_publishes: u64,
     /// Per-PE statistics.
     pub per_pe: Vec<PeStats>,
 }
 
 impl AccelStats {
-    /// Mean fraction of the ray-casting unit's 8 lanes kept busy per
-    /// lockstep superstep (`0` under the scalar front end).
-    pub fn raycast_lane_occupancy(&self) -> f64 {
-        if self.raycast_supersteps == 0 {
-            0.0
-        } else {
-            self.raycast_steps as f64 / (self.raycast_supersteps * 8) as f64
-        }
-    }
-
     /// Sum of PE busy cycles.
     pub fn pe_busy_total(&self) -> u64 {
         self.per_pe.iter().map(|p| p.busy_cycles).sum()
@@ -184,16 +160,6 @@ impl AccelStats {
             s.merge(&p.sram);
         }
         s
-    }
-
-    /// Rows streamed out by the serving-mode row-COW engines, across PEs.
-    pub fn cow_rows_copied(&self) -> u64 {
-        self.per_pe.iter().map(|p| p.cow_rows).sum()
-    }
-
-    /// Copy-engine cycles across PEs (included in each PE's busy time).
-    pub fn cow_cycles(&self) -> u64 {
-        self.per_pe.iter().map(|p| p.cow_cycles).sum()
     }
 
     /// Total prunes across PEs.

@@ -1,77 +1,19 @@
-//! The per-PE tree memory: 8 parallel single-port SRAM banks with an
-//! open-row (row-buffer) model.
+//! The per-PE tree memory: 8 parallel single-port SRAM banks.
 //!
 //! The 8 children of any node share one row address; child `i` lives in
 //! bank `i` (`T-Mem i`). A parent update or prune check therefore reads
 //! all 8 children in a single cycle — the 8× memory-bandwidth improvement
 //! of Section IV-B.
-//!
-//! Each bank additionally keeps an *open-row register*: the row address
-//! of its most recent access. Accesses that hit the open row are counted
-//! separately ([`RowBufferStats`]) — the hardware analogue of the
-//! software arena's sibling-row cache line staying hot while
-//! Morton-adjacent updates descend the same rows. The PE's descent
-//! pricing can charge row-buffer hits at a cheaper rate
-//! (`PeTiming::traverse_row_hit`); with the default timing both rates are
-//! equal, preserving the paper's calibrated ≈100 cycles per update while
-//! still *measuring* the row locality that a row-aware design exploits.
 
 use omu_simhw::{SramBank, SramSpec, SramStats};
-use serde::{Deserialize, Serialize};
 
 use crate::entry::NodeEntry;
-
-/// Sentinel for "no row open yet".
-const NO_ROW: u32 = u32::MAX;
-
-/// Cycles to stream one row through the copy engine (row read + row
-/// write, each one cycle across the 8 parallel banks).
-pub const COW_COPY_CYCLES: u64 = 2;
-
-/// Open-row (row-buffer) hit/miss counters across a tree memory's banks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RowBufferStats {
-    /// Counted accesses that hit the bank's open row.
-    pub hits: u64,
-    /// Counted accesses that opened a different row.
-    pub misses: u64,
-}
-
-impl RowBufferStats {
-    /// Fraction of accesses served from the open row (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Accumulates another record.
-    pub fn merge(&mut self, other: &RowBufferStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
 
 /// One PE's tree memory: 8 banks of 64-bit node entries.
 #[derive(Debug, Clone)]
 pub struct TreeMem {
     banks: Vec<SramBank>,
     rows: usize,
-    open_row: [u32; Self::BANKS],
-    row_stats: RowBufferStats,
-    /// Epoch each row was last made current in (serving mode).
-    row_stamps: Vec<u32>,
-    /// Current write epoch; rows written now are stamped with it.
-    epoch: u32,
-    /// Newest pinned (published) epoch, if a snapshot is being served.
-    /// Pins are monotone, so the newest one is reachability-conservative
-    /// for every older one still alive on the host.
-    pinned: Option<u32>,
-    cow_rows_copied: u64,
-    cow_cycles_pending: u64,
 }
 
 impl TreeMem {
@@ -84,13 +26,6 @@ impl TreeMem {
         TreeMem {
             banks: (0..Self::BANKS).map(|_| SramBank::new(spec)).collect(),
             rows,
-            open_row: [NO_ROW; Self::BANKS],
-            row_stats: RowBufferStats::default(),
-            row_stamps: vec![0; rows],
-            epoch: 1,
-            pinned: None,
-            cow_rows_copied: 0,
-            cow_cycles_pending: 0,
         }
     }
 
@@ -99,99 +34,15 @@ impl TreeMem {
         self.rows
     }
 
-    /// Records an access to (`row`, `bank`) against the bank's open-row
-    /// register, returning whether it hit.
-    #[inline]
-    fn touch(&mut self, row: u32, bank: usize) -> bool {
-        let hit = self.open_row[bank] == row;
-        if hit {
-            self.row_stats.hits += 1;
-        } else {
-            self.row_stats.misses += 1;
-            self.open_row[bank] = row;
-        }
-        hit
-    }
-
-    /// Row-COW hook on the write path: while a published epoch is
-    /// pinned, the first write to a row still stamped at (or before)
-    /// that epoch first streams the whole row out through the copy
-    /// engine — 8 bank reads plus 8 bank writes of priced traffic, so
-    /// the energy ledger sees serving-mode copies — and restamps the
-    /// row with the current epoch. Later writes in the same epoch hit
-    /// the restamped row and pay nothing. A strict no-op when no
-    /// snapshot is pinned, keeping every non-serving access count
-    /// bit-identical to the pre-serving model.
-    #[inline]
-    fn make_row_current(&mut self, row: u32) {
-        let Some(pinned) = self.pinned else { return };
-        if self.row_stamps[row as usize] > pinned {
-            return;
-        }
-        for bank in 0..Self::BANKS {
-            self.touch(row, bank);
-            let word = self.banks[bank].read(row as usize);
-            self.touch(row, bank);
-            self.banks[bank].write(row as usize, word);
-        }
-        self.cow_rows_copied += 1;
-        self.cow_cycles_pending += COW_COPY_CYCLES;
-        self.row_stamps[row as usize] = self.epoch;
-    }
-
-    /// Pins the current epoch for serving (snapshot publish) and opens
-    /// the next one, returning the pinned epoch. Mirrors the software
-    /// arena's `publish_pin`: every row stamped at or before the pinned
-    /// epoch is copy-on-write until restamped.
-    pub fn publish_epoch(&mut self) -> u32 {
-        let pinned = self.epoch;
-        self.pinned = Some(pinned);
-        self.epoch += 1;
-        pinned
-    }
-
-    /// Drops all pins: subsequent writes land in place again.
-    pub fn release_pins(&mut self) {
-        self.pinned = None;
-    }
-
-    /// Whether a published epoch is currently pinned.
-    pub fn serving(&self) -> bool {
-        self.pinned.is_some()
-    }
-
-    /// Rows streamed through the copy engine since the last stats reset.
-    pub fn cow_rows_copied(&self) -> u64 {
-        self.cow_rows_copied
-    }
-
-    /// Takes the copy-engine cycles accrued since the last take — the PE
-    /// folds these into the service time of the update that triggered
-    /// the copies, so serving-mode overhead flows through the scheduler's
-    /// busy/stall/drain accounting like any other datapath stage.
-    pub fn take_cow_cycles(&mut self) -> u64 {
-        std::mem::take(&mut self.cow_cycles_pending)
-    }
-
     /// Reads the entry at (`row`, `bank`) — one bank access.
     #[inline]
     pub fn read_entry(&mut self, row: u32, bank: usize) -> NodeEntry {
-        self.read_entry_hit(row, bank).0
-    }
-
-    /// [`Self::read_entry`] plus whether the access hit the bank's open
-    /// row — the signal the PE's row-aware descent pricing consumes.
-    #[inline]
-    pub fn read_entry_hit(&mut self, row: u32, bank: usize) -> (NodeEntry, bool) {
-        let hit = self.touch(row, bank);
-        (NodeEntry::unpack(self.banks[bank].read(row as usize)), hit)
+        NodeEntry::unpack(self.banks[bank].read(row as usize))
     }
 
     /// Writes the entry at (`row`, `bank`) — one bank access.
     #[inline]
     pub fn write_entry(&mut self, row: u32, bank: usize, entry: NodeEntry) {
-        self.make_row_current(row);
-        self.touch(row, bank);
         self.banks[bank].write(row as usize, entry.pack());
     }
 
@@ -199,18 +50,13 @@ impl TreeMem {
     /// hardware.
     #[inline]
     pub fn read_row(&mut self, row: u32) -> [NodeEntry; 8] {
-        std::array::from_fn(|bank| {
-            self.touch(row, bank);
-            NodeEntry::unpack(self.banks[bank].read(row as usize))
-        })
+        std::array::from_fn(|bank| NodeEntry::unpack(self.banks[bank].read(row as usize)))
     }
 
     /// Writes a whole row — 8 parallel bank accesses, one cycle.
     #[inline]
     pub fn write_row(&mut self, row: u32, entries: [NodeEntry; 8]) {
-        self.make_row_current(row);
         for (bank, e) in entries.iter().enumerate() {
-            self.touch(row, bank);
             self.banks[bank].write(row as usize, e.pack());
         }
     }
@@ -230,20 +76,11 @@ impl TreeMem {
         s
     }
 
-    /// Open-row hit/miss counters over all 8 banks.
-    pub fn row_stats(&self) -> RowBufferStats {
-        self.row_stats
-    }
-
-    /// Resets the access counters and open-row registers (contents kept).
+    /// Resets the access counters (contents kept).
     pub fn reset_stats(&mut self) {
         for b in &mut self.banks {
             b.reset_stats();
         }
-        self.open_row = [NO_ROW; Self::BANKS];
-        self.row_stats = RowBufferStats::default();
-        self.cow_rows_copied = 0;
-        self.cow_cycles_pending = 0;
     }
 
     /// Flips one bit of the entry at (`row`, `bank`) — soft-error fault
@@ -295,10 +132,8 @@ mod tests {
         let mut m = TreeMem::new(4);
         m.write_entry(1, 0, NodeEntry::EMPTY);
         let before = m.stats();
-        let row_before = m.row_stats();
         let _ = m.peek_entry(1, 0);
         assert_eq!(m.stats(), before);
-        assert_eq!(m.row_stats(), row_before);
     }
 
     #[test]
@@ -312,98 +147,6 @@ mod tests {
         m.write_entry(0, 7, e);
         m.reset_stats();
         assert_eq!(m.stats().accesses(), 0);
-        assert_eq!(m.row_stats(), RowBufferStats::default());
         assert_eq!(m.peek_entry(0, 7), e);
-    }
-
-    #[test]
-    fn open_row_tracks_hits_per_bank() {
-        let mut m = TreeMem::new(8);
-        // First access to a bank always misses (opens the row).
-        let (_, hit) = m.read_entry_hit(3, 0);
-        assert!(!hit);
-        // Same row, same bank: hit.
-        let (_, hit) = m.read_entry_hit(3, 0);
-        assert!(hit);
-        // Same row, different bank: that bank's register is still closed.
-        let (_, hit) = m.read_entry_hit(3, 1);
-        assert!(!hit);
-        // Different row evicts the open row.
-        let (_, hit) = m.read_entry_hit(5, 0);
-        assert!(!hit);
-        let (_, hit) = m.read_entry_hit(3, 0);
-        assert!(!hit, "row 3 was evicted by row 5");
-        assert_eq!(m.row_stats().hits, 1);
-        assert_eq!(m.row_stats().misses, 4);
-        assert!(m.row_stats().hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn cow_is_inert_until_published() {
-        let mut m = TreeMem::new(8);
-        m.write_row(2, [NodeEntry::EMPTY; 8]);
-        m.write_entry(2, 0, NodeEntry::EMPTY);
-        assert!(!m.serving());
-        assert_eq!(m.cow_rows_copied(), 0);
-        assert_eq!(m.take_cow_cycles(), 0);
-        // Non-serving access counts are bit-identical to the pre-serving
-        // model: exactly the writes issued above, no copy traffic.
-        assert_eq!(m.stats().writes, 9);
-        assert_eq!(m.stats().reads, 0);
-    }
-
-    #[test]
-    fn first_write_after_publish_copies_the_row_once() {
-        let mut m = TreeMem::new(8);
-        let e = NodeEntry {
-            ptr: 1,
-            tags: 2,
-            prob: FixedLogOdds::from_bits(3),
-        };
-        m.write_entry(4, 0, e);
-        m.reset_stats();
-        assert_eq!(m.publish_epoch(), 1);
-        assert!(m.serving());
-        // First write streams the row out: 8 reads + 8 copy writes on
-        // top of the write itself.
-        m.write_entry(4, 1, e);
-        assert_eq!(m.cow_rows_copied(), 1);
-        assert_eq!(m.stats().reads, 8);
-        assert_eq!(m.stats().writes, 9);
-        assert_eq!(m.take_cow_cycles(), COW_COPY_CYCLES);
-        // The restamped row is current: later writes pay nothing extra.
-        m.write_entry(4, 2, e);
-        assert_eq!(m.cow_rows_copied(), 1);
-        assert_eq!(m.take_cow_cycles(), 0);
-        // Logical contents survive the copy.
-        assert_eq!(m.peek_entry(4, 0), e);
-        // Released pins end the charging.
-        m.release_pins();
-        m.write_entry(5, 0, e);
-        assert_eq!(m.cow_rows_copied(), 1);
-    }
-
-    #[test]
-    fn each_publish_reopens_cow_protection() {
-        let mut m = TreeMem::new(8);
-        m.publish_epoch();
-        m.write_entry(0, 0, NodeEntry::EMPTY); // copy 1
-        m.publish_epoch();
-        m.write_entry(0, 0, NodeEntry::EMPTY); // copy 2: restamped row re-pinned
-        m.write_entry(0, 0, NodeEntry::EMPTY); // current — no copy
-        assert_eq!(m.cow_rows_copied(), 2);
-        // Resetting stats clears the counters but keeps serving state.
-        m.reset_stats();
-        assert_eq!(m.cow_rows_copied(), 0);
-        assert!(m.serving());
-    }
-
-    #[test]
-    fn row_sweeps_keep_rows_open() {
-        let mut m = TreeMem::new(8);
-        m.write_row(2, [NodeEntry::EMPTY; 8]); // 8 misses, opens row 2 everywhere
-        let _ = m.read_row(2); // 8 hits
-        assert_eq!(m.row_stats().misses, 8);
-        assert_eq!(m.row_stats().hits, 8);
     }
 }

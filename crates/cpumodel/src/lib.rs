@@ -11,11 +11,11 @@
 //! The latencies are **calibrated**, not measured: they are chosen so the
 //! three paper workloads land on the published totals (Table II/III) and
 //! runtime shares (Fig. 3). The calibration procedure lives in [`fit`] and
-//! is rerun by `cargo run -p omu-bench --bin calibrate`; EXPERIMENTS.md
-//! records the fit quality. What the model preserves — and what the
-//! paper's comparisons need — is the *shape*: node prune/expand dominates
-//! CPU runtime because of irregular 8-children accesses, and the i9→A57
-//! gap is roughly 5×.
+//! is rerun by `cargo run -p omu-bench --bin calibrate`, which prints the
+//! fit quality (see the README section "Reproducing the paper"). What the
+//! model preserves — and what the paper's comparisons need — is the
+//! *shape*: node prune/expand dominates CPU runtime because of irregular
+//! 8-children accesses, and the i9→A57 gap is roughly 5×.
 //!
 //! # Examples
 //!

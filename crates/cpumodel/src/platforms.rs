@@ -13,7 +13,7 @@ impl CpuCostModel {
     /// that collapsibility checks gather 8 children over irregular
     /// pointers — the cache-miss pattern the paper identifies as the CPU
     /// bottleneck. Rerun the calibration after changing dataset
-    /// generation, and see EXPERIMENTS.md for the fit-quality record.
+    /// generation, and see the README section "Reproducing the paper".
     pub fn i9_9940x() -> CpuCostModel {
         CpuCostModel {
             name: "Intel i9-9940X",

@@ -9,8 +9,16 @@
 //!    children (it would have been pruned).
 //! 4. Search answers agree with bulk iteration.
 //! 5. Node accounting matches iteration.
+//!
+//! The scalar `update_key`, the oracle of every equivalence suite, is
+//! itself checked value for value against a flat per-voxel grid.
 
-use omu_geometry::{LogOdds, Occupancy, Point3, PointCloud, Scan, VoxelKey, TREE_DEPTH};
+use std::collections::HashMap;
+
+use omu_geometry::{
+    FixedLogOdds, LogOdds, Occupancy, OccupancyParams, Point3, PointCloud, Scan, VoxelKey,
+    TREE_DEPTH,
+};
 use omu_octree::{OccupancyOctree, OctreeF32, OctreeFixed};
 use proptest::prelude::*;
 
@@ -266,4 +274,75 @@ proptest! {
             prop_assert!((va - vb).abs() < 1e-4, "order-dependence: {va} vs {vb}");
         }
     }
+}
+
+/// Feeds one seeded update stream to `update_key` and to a flat grid that
+/// applies eq. 2 (`ResolvedParams::update`) per voxel from `V::ZERO`, and
+/// asserts after every batch that the tree holds the grid's bits for
+/// every key seen. Returns the tree's (prunes, expands).
+fn flat_grid_run<V: LogOdds>(seed: u64, early_abort: bool) -> (u64, u64) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut params = OccupancyParams::default();
+    if !seed.is_multiple_of(4) {
+        // Random parameters; each field is its edge value a quarter of the
+        // time (a zero hit or miss, a `-0.0` clamp bound).
+        let mut draw = |edge: f32, lo: f32, hi: f32| {
+            if rng.random_range(0..4) == 0 {
+                edge
+            } else {
+                rng.random_range(lo..hi)
+            }
+        };
+        params.hit = draw(0.0, 0.05, 2.0);
+        params.miss = draw(0.0, -2.0, -0.05);
+        params.clamp_min = draw(-0.0, -4.0, -0.5);
+        params.clamp_max = draw(-0.0, 0.5, 4.0);
+    }
+    let resolved = params.resolve::<V>();
+    let mut tree = OccupancyOctree::<V>::with_params(0.1, params).unwrap();
+    tree.set_early_abort_saturated(early_abort);
+    let mut flat: HashMap<VoxelKey, V> = HashMap::new();
+    // A 4³ block straddling a branch boundary, hit often enough that its
+    // octants saturate, prune, and re-expand on a later update.
+    let base = 32766 + rng.random_range(0..2u16) * 2;
+    let hit_rate = rng.random_range(0.0..1.0);
+    for _batch in 0..6 {
+        for _ in 0..120 {
+            let mut axis = || base + rng.random_range(0..4u16);
+            let key = VoxelKey::new(axis(), axis(), axis());
+            let hit = rng.random_bool(hit_rate);
+            tree.update_key(key, hit);
+            let value = flat.entry(key).or_insert(V::ZERO);
+            *value = resolved.update(*value, hit);
+        }
+        for (&key, value) in &flat {
+            assert_eq!(
+                tree.logodds(key).map(f32::to_bits),
+                Some(value.to_f32().to_bits()),
+                "seed {seed}, early abort {early_abort}, {params:?}, key {key}"
+            );
+        }
+    }
+    (tree.counters().prunes, tree.counters().expands)
+}
+
+#[test]
+fn update_key_matches_a_flat_voxel_grid() {
+    let (mut prunes, mut expands) = (0, 0);
+    for seed in 0..120 {
+        for early_abort in [true, false] {
+            for (p, e) in [
+                flat_grid_run::<f32>(seed, early_abort),
+                flat_grid_run::<FixedLogOdds>(seed, early_abort),
+            ] {
+                prunes += p;
+                expands += e;
+            }
+        }
+    }
+    assert!(
+        prunes > 0 && expands > 0,
+        "prunes {prunes}, expands {expands}"
+    );
 }

@@ -19,8 +19,8 @@
 //!
 //! All constants in [`tech12nm`] are *calibrated* against the paper's
 //! reported operating point (250.8 mW, 91 % SRAM power, 2.5 mm²) rather
-//! than derived from a foundry PDK; EXPERIMENTS.md documents the
-//! calibration.
+//! than derived from a foundry PDK; the README section "Reproducing the
+//! paper" describes the calibration.
 
 mod area;
 mod axi;

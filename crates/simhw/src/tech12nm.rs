@@ -12,7 +12,7 @@
 //! chosen so that the transaction-level model, executing the FR-079
 //! workload, lands on the paper's anchors. All downstream results (energy
 //! tables, power split, area report) follow from event counts × these
-//! constants. See EXPERIMENTS.md § "Technology calibration".
+//! constants. See the README section "Reproducing the paper".
 
 /// Accelerator clock frequency (GHz).
 pub const FREQ_GHZ: f64 = 1.0;
