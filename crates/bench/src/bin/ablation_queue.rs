@@ -26,7 +26,7 @@ fn main() {
     let mut t = TextTable::new([
         "queue capacity",
         "latency (s)",
-        "front-end stall cycles",
+        "shared-queue wait cycles",
         "FPS",
     ]);
     for capacity in [4usize, 16, 64, 512, 4096] {
@@ -43,7 +43,7 @@ fn main() {
         t.row([
             capacity.to_string(),
             fmt_f(s.latency_s),
-            s.stall_cycles.to_string(),
+            s.queue_wait_cycles.to_string(),
             fmt_f(s.fps),
         ]);
     }

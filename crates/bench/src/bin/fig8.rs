@@ -28,9 +28,9 @@ fn main() {
         run.accel.sram_power_share * 100.0
     );
     println!(
-        "SRAM utilization: {:.0} %, load imbalance: {:.2}, stall cycles: {}",
+        "SRAM utilization: {:.0} %, load imbalance: {:.2}, shared-queue wait cycles: {}",
         run.accel.sram_utilization * 100.0,
         run.accel.load_imbalance,
-        run.accel.stall_cycles
+        run.accel.queue_wait_cycles
     );
 }

@@ -198,7 +198,7 @@ impl OmuAccelerator {
         self.stats.raycast_supersteps += packet_delta.supersteps;
         self.stats.dma_cycles += dma_cycles;
         self.stats.dma_bytes += dma_bytes;
-        self.stats.stall_cycles = self.scheduler.stall_cycles();
+        self.stats.queue_wait_cycles = self.scheduler.queue_wait_cycles();
         self.stats.wall_cycles = (scan_start + rc_cycles).max(scan_start + dma_cycles);
     }
 

@@ -41,8 +41,9 @@ pub struct AccelRunSummary {
     pub sram_utilization: f64,
     /// Busiest-PE / mean-PE update ratio (1.0 = balanced).
     pub load_imbalance: f64,
-    /// Scheduler issue stalls in cycles.
-    pub stall_cycles: u64,
+    /// Cycles voxels waited in the shared queue for a full PE window,
+    /// summed over voxels (not stalls: the front end never stalls).
+    pub queue_wait_cycles: u64,
     /// Voxel query unit counters (queries served, cycles, cached-descent
     /// reuse) — zero when the run never queried the map.
     pub query: QueryUnitStats,
@@ -155,7 +156,7 @@ pub fn summarize(omu: &OmuAccelerator) -> AccelRunSummary {
         breakdown_shares: stats.stage_cycles().figure10_shares(),
         sram_utilization: omu.sram_utilization(),
         load_imbalance: stats.load_imbalance(),
-        stall_cycles: stats.stall_cycles,
+        queue_wait_cycles: stats.queue_wait_cycles,
         query: omu.query_unit_stats(),
     }
 }
@@ -238,7 +239,7 @@ mod tests {
     /// re-expand on the next scan: every datapath stage is priced.
     #[test]
     fn priced_numbers_are_pinned() {
-        // [wall, stall, raycast, query, PE busy, SRAM reads, SRAM writes,
+        // [wall, queue wait, raycast, query, PE busy, SRAM reads, SRAM writes,
         // then stage cycles: traverse, leaf, create, parent, prune_check,
         // prune_action, expand], and `to_bits` of [latency_s, energy_j,
         // breakdown_shares].
@@ -306,7 +307,7 @@ mod tests {
             let [leaf, parents, prune] = s.breakdown_shares;
             let counts = [
                 st.wall_cycles,
-                st.stall_cycles,
+                st.queue_wait_cycles,
                 st.raycast_cycles,
                 st.query_cycles,
                 st.pe_busy_total(),

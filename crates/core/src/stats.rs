@@ -125,8 +125,10 @@ pub struct AccelStats {
     pub dma_cycles: u64,
     /// Bytes DMA-transferred from the host.
     pub dma_bytes: u64,
-    /// Cycles the scheduler stalled because a PE queue was full.
-    pub stall_cycles: u64,
+    /// Cycles voxels waited in the shared queue because their PE's
+    /// in-flight window was full, summed over voxels (see
+    /// [`VoxelScheduler::queue_wait_cycles`](crate::VoxelScheduler::queue_wait_cycles)).
+    pub queue_wait_cycles: u64,
     /// End-to-end wall cycles (the max over overlapped pipelines, summed
     /// over scans).
     pub wall_cycles: u64,

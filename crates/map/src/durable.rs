@@ -195,6 +195,12 @@ pub enum FaultKind {
 /// fault)` pairs over the sequence of mutating [`DurableDir`] /
 /// [`DurableFile`] operations.
 ///
+/// An index counts each call: every `append`, `sync`, `write_atomic`
+/// and `remove`. The WAL writes a record through a 64 KiB buffer, one
+/// `append` per full buffer and then one `sync`, so a record up to
+/// 64 KiB (a 24-point scan's is 624 bytes) costs two indices and a
+/// larger one an extra index per further 64 KiB.
+///
 /// Built explicitly with [`FaultPlan::fail_at`] or derived from a seed
 /// with [`FaultPlan::seeded`], and applied by wrapping a store in a
 /// [`FaultyDir`].

@@ -80,3 +80,5 @@ pub use service::{
     ChangeSubscription, MapService, MapSnapshot, RecoveryReport, ServiceHealth, ServiceStats,
     CHANGE_RING_EPOCHS, DEFAULT_CHECKPOINT_EPOCHS,
 };
+#[doc(hidden)]
+pub use wal::debug_replay_wal_segment;

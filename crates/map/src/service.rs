@@ -18,6 +18,16 @@
 //! behind gets a typed [`MapError::Lagged`] and resynchronizes from a
 //! fresh snapshot.
 //!
+//! With [`MapBuilder::durability`] configured, the writer journals each
+//! drained batch before applying it. An ingested scan is queued as an
+//! `Arc`, so the journal needs no copy of its points: the writer hands
+//! the batch's `Arc`s to a durable thread, which streams the WAL record
+//! from them through one fixed 64 KiB buffer and fsyncs it while the
+//! writer applies the same scans, and every [`MapService::flush`] waits
+//! for the syncs queued before it. Checkpoints are serialized from a
+//! pinned snapshot on that thread too; [`MapService::recover`] rebuilds
+//! the map from the newest checkpoint plus the WAL tail.
+//!
 //! # Examples
 //!
 //! ```
@@ -48,7 +58,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
-use omu_geometry::{KeyConverter, Occupancy, Point3, Scan, VoxelKey};
+use omu_geometry::{KeyConverter, Occupancy, Point3, PointCloud, Scan, VoxelKey};
 use omu_octree::{LeafInfo, RayCastResult, Snapshot, SnapshotStats, TaskPanic, WorkerPool};
 use omu_pool::{spawn_service, ServiceThread};
 
@@ -57,8 +67,7 @@ use crate::durable::{DurabilityPolicy, DurableDir, DurableFile, RealDir};
 use crate::error::MapError;
 use crate::map::OccupancyMap;
 use crate::wal::{
-    ckpt_name, decode_segment, encode_record_parts, parse_ckpt_name, parse_wal_name, seal_record,
-    wal_name,
+    ckpt_name, parse_ckpt_name, parse_wal_name, wal_name, RecordWriter, SegmentReader,
 };
 
 /// Publish epochs of change sets the service retains for slow
@@ -312,8 +321,10 @@ pub struct ServiceStats {
 
 /// One queued writer command.
 enum Command {
-    Ingest(Scan),
-    IngestPoints(Point3, Vec<Point3>),
+    /// A scan to journal and apply. The `Arc` lets the durable thread
+    /// write the WAL record straight from the ingested points while the
+    /// writer applies them, so the points are never copied.
+    Ingest(Arc<Scan>),
     /// Publish and acknowledge: everything sent before this command is
     /// applied and visible once the ack arrives.
     Flush(mpsc::Sender<()>),
@@ -517,9 +528,12 @@ impl MapService {
             .filter_map(|n| parse_wal_name(n).map(|s| (s, n.as_str())))
             .collect();
         segments.sort_unstable();
+        // Each segment is walked one validated record at a time, and
+        // every scan decodes into one reused point buffer.
         let mut next_seq = base_seq;
         let mut replayed = 0u64;
         let mut truncated = false;
+        let mut points = Vec::new();
         'replay: for &(start, name) in &segments {
             if start < base_seq {
                 continue;
@@ -528,18 +542,18 @@ impl MapService {
                 truncated = true;
                 continue;
             };
-            let (records, torn) = decode_segment(&bytes);
-            for record in records {
+            let mut reader = SegmentReader::new(&bytes);
+            for record in reader.by_ref() {
                 if record.seq != next_seq {
                     truncated = true;
                     break 'replay;
                 }
-                for scan in &record.scans {
+                record.replay(&mut points, |origin, pts| {
                     // A scan that failed at original ingest fails
                     // identically here and mutates nothing; replay
                     // mirrors the writer's keep-going-past-bad-scans.
-                    let _ = map.insert_points(scan.origin, &scan.points);
-                }
+                    let _ = map.insert_points(origin, pts);
+                });
                 next_seq += 1;
                 replayed += 1;
             }
@@ -547,7 +561,7 @@ impl MapService {
             // segment continuing the sequence chain (from a previous
             // degraded recovery) is still applied; the gap check above
             // guards against actual holes.
-            truncated |= torn;
+            truncated |= reader.torn();
         }
 
         // Fold the recovered state into a fresh checkpoint so torn
@@ -684,18 +698,18 @@ impl MapService {
     /// enqueued). Backend errors (e.g. an out-of-bounds origin) are
     /// deferred to the next [`Self::flush`].
     pub fn ingest(&self, scan: Scan) -> Result<(), MapError> {
-        self.sender.try_ingest(Command::Ingest(scan))
+        self.sender.try_ingest(Command::Ingest(Arc::new(scan)))
     }
 
-    /// [`Self::ingest`] from an origin and owned point buffer, skipping
-    /// the `Scan` wrapper.
+    /// [`Self::ingest`] from an origin and an owned point buffer. The
+    /// buffer moves into the [`Scan`] (no copy); the writer applies it
+    /// and the durable thread journals it from that one allocation.
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::ingest`].
     pub fn ingest_points(&self, origin: Point3, points: Vec<Point3>) -> Result<(), MapError> {
-        self.sender
-            .try_ingest(Command::IngestPoints(origin, points))
+        self.ingest(Scan::new(origin, PointCloud::from(points)))
     }
 
     /// Waits until every scan queued before this call has been applied
@@ -906,12 +920,14 @@ impl ChangeSubscription {
 /// One request handed to the `map-durable` thread, which owns every
 /// blocking storage operation so the writer never waits on an fsync.
 enum DurableJob {
-    /// Append one encoded batch record to the open segment and sync it.
+    /// Write batch `seq`'s record to the open segment and sync it. The
+    /// scans are the ones the writer applies, shared, not copied.
     /// `done` fires when the record is durable (or the log degraded);
     /// the writer collects these and waits only at flush points — the
     /// group-commit overlap that keeps the WAL nearly free.
     Append {
-        frame: Vec<u8>,
+        seq: u64,
+        scans: Vec<Arc<Scan>>,
         done: mpsc::Sender<()>,
     },
     /// Open a fresh WAL segment (the rotation point at each checkpoint,
@@ -943,19 +959,19 @@ struct WriterDurability {
 }
 
 impl WriterDurability {
-    /// Encodes one batch record and queues it for append+sync *before*
-    /// the batch is applied, so the log can never lag published state
-    /// by more than the in-flight batch. The sequence number is
+    /// Queues one batch record for append+sync *before* the batch is
+    /// applied, so the log can never lag published state by more than
+    /// the in-flight batch. The job carries the batch's `Arc`s; the
+    /// durable thread encodes the record. The sequence number is
     /// consumed even when degraded, so checkpoint coverage stays
     /// aligned with applied batches.
-    fn log_batch(&mut self, scans: &[(Point3, &[Point3])], shared: &ServiceShared) {
+    fn log_batch(&mut self, scans: Vec<Arc<Scan>>, shared: &ServiceShared) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let frame = encode_record_parts(seq, scans);
         let (done, done_rx) = mpsc::channel();
         if self
             .job_tx
-            .send(DurableJob::Append { frame, done })
+            .send(DurableJob::Append { seq, scans, done })
             .is_err()
         {
             // The durable thread is gone (only an injected panic kills
@@ -1029,19 +1045,21 @@ impl WriterDurability {
 
 /// The durable thread: owns the open WAL segment and the store, runs
 /// every append/fsync/checkpoint off the writer. Storage stalls never
-/// block ingestion — the writer only waits at flush points.
+/// block ingestion — the writer only waits at flush points. Records
+/// stream through one [`RecordWriter`] buffer (64 KiB, one append per
+/// full buffer), so no batch is ever encoded whole.
 fn durable_loop(
     receiver: mpsc::Receiver<DurableJob>,
     store: Arc<dyn DurableDir>,
     mut wal: Option<Box<dyn DurableFile>>,
     shared: Arc<ServiceShared>,
 ) {
+    let mut records = RecordWriter::new();
     while let Ok(job) = receiver.recv() {
         match job {
-            DurableJob::Append { mut frame, done } => {
+            DurableJob::Append { seq, scans, done } => {
                 if let Some(w) = wal.as_mut() {
-                    seal_record(&mut frame);
-                    if let Err(e) = w.append(&frame).and_then(|()| w.sync()) {
+                    if let Err(e) = records.write(w.as_mut(), seq, &scans) {
                         // Degrade: close the log, flag health, keep
                         // serving. Rotation is the retry point.
                         wal = None;
@@ -1133,16 +1151,15 @@ fn writer_loop(
         // an acknowledged flush implies its scans are either durable or
         // the service is health-flagged as degraded.
         if let Some(d) = durability.as_mut() {
-            let scans: Vec<(Point3, &[Point3])> = batch
+            let scans: Vec<Arc<Scan>> = batch
                 .iter()
                 .filter_map(|cmd| match cmd {
-                    Command::Ingest(scan) => Some((scan.origin, scan.cloud.points())),
-                    Command::IngestPoints(origin, points) => Some((*origin, points.as_slice())),
+                    Command::Ingest(scan) => Some(Arc::clone(scan)),
                     _ => None,
                 })
                 .collect();
             if !scans.is_empty() {
-                d.log_batch(&scans, shared);
+                d.log_batch(scans, shared);
             }
         }
         let mut acks = Vec::new();
@@ -1152,7 +1169,6 @@ fn writer_loop(
         for cmd in batch {
             let result = match cmd {
                 Command::Ingest(scan) => Some(map.insert(&scan)),
-                Command::IngestPoints(origin, points) => Some(map.insert_points(origin, &points)),
                 Command::Flush(ack) => {
                     acks.push(ack);
                     None

@@ -10,7 +10,9 @@
 //! The hot loop uses slicing-by-8 (eight compile-time tables, eight
 //! input bytes folded per iteration): checkpoint blobs and WAL records
 //! run to tens of megabytes, and the checksum sits on both the ingest
-//! fsync path and the recovery replay path.
+//! fsync path and the recovery replay path. [`crc32`] checksums one
+//! slice; [`Crc32`] folds a message in pieces, which is how the WAL
+//! writer checksums a record it streams through a fixed buffer.
 
 /// The reflected IEEE 802.3 polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -58,25 +60,69 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 /// assert_eq!(omu_octree::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = u32::MAX;
-    let mut chunks = data.chunks_exact(8);
-    for chunk in chunks.by_ref() {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize] // omu-lint: allow(handle-bits) — CRC byte extraction
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize] // omu-lint: allow(handle-bits) — CRC byte extraction
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// Incremental [`crc32`]: feed a message in pieces of any size and get
+/// the checksum of their concatenation. The WAL writer checksums a
+/// record this way while it streams the record through a fixed buffer.
+///
+/// # Examples
+///
+/// ```
+/// use omu_octree::{crc32, Crc32};
+///
+/// let mut crc = Crc32::new();
+/// crc.update(b"1234");
+/// crc.update(b"56789");
+/// assert_eq!(crc.finish(), crc32(b"123456789"));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    for &b in chunks.remainder() {
-        // omu-lint: allow(handle-bits) — CRC byte fold, not handle packing
-        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+}
+
+impl Crc32 {
+    /// The checksum of the empty message, ready for [`Self::update`].
+    pub const fn new() -> Self {
+        Crc32 { state: u32::MAX }
     }
-    !c
+
+    /// Folds the next piece of the message in.
+    pub fn update(&mut self, data: &[u8]) {
+        let mut c = self.state;
+        let mut chunks = data.chunks_exact(8);
+        for chunk in chunks.by_ref() {
+            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            c = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize] // omu-lint: allow(handle-bits) — CRC byte extraction
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize] // omu-lint: allow(handle-bits) — CRC byte extraction
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            // omu-lint: allow(handle-bits) — CRC byte fold, not handle packing
+            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +152,21 @@ mod tests {
             }
             assert_eq!(crc32(&data[..len]), !c, "length {len}");
         }
+    }
+
+    #[test]
+    fn incremental_matches_one_shot_at_every_split() {
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(29) ^ 0xA5).collect();
+        for cut in 0..=data.len() {
+            for second in cut..=data.len() {
+                let mut crc = Crc32::new();
+                crc.update(&data[..cut]);
+                crc.update(&data[cut..second]);
+                crc.update(&data[second..]);
+                assert_eq!(crc.finish(), crc32(&data), "splits at {cut} and {second}");
+            }
+        }
+        assert_eq!(Crc32::default().finish(), crc32(b""));
     }
 
     #[test]

@@ -98,7 +98,7 @@ mod update;
 mod walk;
 
 pub use batch::{BatchStats, UpdateSink};
-pub use checksum::crc32;
+pub use checksum::{crc32, Crc32};
 pub use counters::{OpCounters, QueryCounters};
 pub use insert::ParallelInsertError;
 pub use io::ReadError;

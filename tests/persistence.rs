@@ -1,8 +1,12 @@
 //! Serialization across crates: maps built from dataset scans survive a
-//! byte round-trip on both value representations.
+//! byte round-trip on both value representations, and the wire formats
+//! (`.omut` maps and WAL segments) stay byte-stable against goldens.
+
+use std::path::{Path, PathBuf};
 
 use omu::datasets::DatasetKind;
-use omu::geometry::Point3;
+use omu::geometry::{Point3, PointCloud, Scan};
+use omu::map::{DurabilityPolicy, MapBuilder, MapService};
 use omu::octree::{DeserializeError, OctreeF32, OctreeFixed};
 use omu::raycast::IntegrationMode;
 
@@ -159,4 +163,114 @@ fn corrupted_maps_are_rejected_not_misread() {
     let mut padded = bytes.clone();
     padded.extend_from_slice(&[1, 2, 3]);
     assert!(OctreeF32::from_bytes(&padded).is_err());
+}
+
+/// A WAL segment written by the contiguous-frame encoder that the
+/// durable thread's streaming writer replaced: one record per batch of
+/// [`golden_wal_batches`].
+const GOLDEN_WAL: &[u8] = include_bytes!("golden/wal_v1.log");
+
+/// Map resolution of the service that journals the WAL golden.
+const WAL_RES: f64 = 0.1;
+
+/// The scan batches `wal_v1.log` journals, one record each: several
+/// scans; an empty scan beside a short one; one scan of 3,072 points,
+/// whose 73.8 kB record is larger than the durable thread's 64 KiB write
+/// buffer. Plain arithmetic, so the bytes match on every platform.
+fn golden_wal_batches() -> Vec<Vec<Scan>> {
+    let fan = |origin: Point3, n: usize, step: f64| {
+        let points = (0..n)
+            .map(|i| {
+                Point3::new(
+                    1.0 + step * i as f64,
+                    -0.5 + 0.0625 * (i % 17) as f64,
+                    0.125 * (i % 5) as f64,
+                )
+            })
+            .collect::<PointCloud>();
+        Scan::new(origin, points)
+    };
+    vec![
+        vec![
+            fan(Point3::new(0.01, 0.01, 0.01), 5, 0.1),
+            fan(Point3::new(0.25, -0.5, 0.0), 7, 0.05),
+            fan(Point3::new(-0.3, 0.2, 0.1), 4, 0.2),
+        ],
+        vec![
+            Scan::new(Point3::new(0.5, 0.5, 0.0), PointCloud::new()),
+            fan(Point3::ZERO, 3, 0.3),
+        ],
+        vec![fan(Point3::new(0.01, 0.02, 0.03), 3_072, 0.001)],
+    ]
+}
+
+fn wal_temp_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("omu_persistence_{tag}_{}", std::process::id()))
+}
+
+/// The first segment's file name (records from batch 0 on).
+const FIRST_SEGMENT: &str = "wal-00000000000000000000.log";
+
+/// Journals `batches` through a fresh durable service in `dir` and
+/// returns the segment's bytes, or `None` when the writer split a batch
+/// across two records. Each batch is queued while the writer is parked,
+/// so it drains as one record unless the writer woke early and drained
+/// a prefix with the park command; that costs the batch a second
+/// publish, which is how a split is seen.
+fn journal(dir: &Path, batches: &[Vec<Scan>]) -> Option<Vec<u8>> {
+    let _ = std::fs::remove_dir_all(dir);
+    let service =
+        MapService::spawn(MapBuilder::new(WAL_RES).durability(dir, DurabilityPolicy::Manual))
+            .unwrap();
+    let mut split = false;
+    for batch in batches {
+        let before = service.service_stats().publishes;
+        let release = service.debug_stall_writer().unwrap();
+        for scan in batch {
+            service.ingest(scan.clone()).unwrap();
+        }
+        drop(release);
+        service.flush().unwrap();
+        split |= service.service_stats().publishes - before != 1;
+    }
+    service.shutdown().unwrap();
+    let bytes = std::fs::read(dir.join(FIRST_SEGMENT)).unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+    (!split).then_some(bytes)
+}
+
+#[test]
+fn wal_records_are_byte_stable_against_the_golden() {
+    let dir = wal_temp_dir("wal_golden");
+    let batches = golden_wal_batches();
+    let bytes = (0..8)
+        .find_map(|_| journal(&dir, &batches))
+        .expect("the writer split a batch in 8 runs out of 8");
+    let first_diff = bytes.iter().zip(GOLDEN_WAL).position(|(a, b)| a != b);
+    assert!(
+        bytes == GOLDEN_WAL,
+        "WAL format drifted: {} bytes against the golden's {}, first difference at {first_diff:?}",
+        bytes.len(),
+        GOLDEN_WAL.len()
+    );
+}
+
+#[test]
+fn recovery_from_the_wal_golden_equals_serial_replay() {
+    let dir = wal_temp_dir("wal_golden_recover");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(FIRST_SEGMENT), GOLDEN_WAL).unwrap();
+    let (recovered, report) = MapService::recover(dir.clone(), MapBuilder::new(WAL_RES)).unwrap();
+    assert_eq!(report.checkpoint_epoch, None);
+    assert_eq!(report.replayed_batches, 3, "{report:?}");
+    assert!(!report.truncated_tail, "{report:?}");
+
+    let mut serial = MapBuilder::new(WAL_RES).build().unwrap();
+    for scan in golden_wal_batches().iter().flatten() {
+        serial.insert(scan).unwrap();
+    }
+    assert_eq!(recovered.snapshot().canonical_leaves(), serial.snapshot());
+    recovered.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
